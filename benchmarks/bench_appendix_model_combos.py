@@ -14,7 +14,7 @@ import dataclasses
 from repro.analysis import format_degradation_table
 from repro.experiments.model_combos import DEFAULT_COMBOS, run_model_combo_experiment
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 
 def _render(result):
@@ -33,11 +33,12 @@ def _render(result):
 
 def test_appendix_model_combos_weibull(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     scale = dataclasses.replace(scale, n_traces=max(4, scale.n_traces // 2))
     result = run_once(
         benchmark,
         lambda: run_model_combo_experiment(
-            "peta", "weibull", combos=DEFAULT_COMBOS, scale=scale
+            "peta", "weibull", combos=DEFAULT_COMBOS, scale=scale, execution=execution
         ),
     )
     report("appendix_model_combos_weibull", _render(result))
@@ -49,12 +50,13 @@ def test_appendix_model_combos_weibull(benchmark):
 
 def test_appendix_model_combos_exponential(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     scale = dataclasses.replace(scale, n_traces=max(4, scale.n_traces // 2))
     combos = (("embarrassing", "constant"), ("amdahl", "constant"), ("kernel", "proportional"))
     result = run_once(
         benchmark,
         lambda: run_model_combo_experiment(
-            "peta", "exponential", combos=combos, scale=scale
+            "peta", "exponential", combos=combos, scale=scale, execution=execution
         ),
     )
     report("appendix_model_combos_exponential", _render(result))

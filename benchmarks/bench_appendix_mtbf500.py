@@ -11,16 +11,17 @@ import dataclasses
 from repro.analysis import format_series
 from repro.experiments.scaling import run_scaling_experiment
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 
 def test_appendix_weibull_mtbf500(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     scale = dataclasses.replace(scale, n_traces=max(4, scale.n_traces // 2))
     result = run_once(
         benchmark,
         lambda: run_scaling_experiment(
-            "peta", "weibull", scale=scale, mtbf_factor=4.0
+            "peta", "weibull", scale=scale, execution=execution, mtbf_factor=4.0
         ),
     )
     text = format_series(

@@ -10,7 +10,7 @@ MTBF-derived base period.
 from repro.analysis import format_series
 from repro.experiments.period_sweep import run_period_sweep
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 FACTORS = (-4, -3, -2, -1, 0, 1, 2, 3, 4)
 
@@ -30,10 +30,11 @@ def _render(result, title):
 
 def test_appendix_period_sweep_exponential(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     result = run_once(
         benchmark,
         lambda: run_period_sweep(
-            "peta", "exponential", log2_factors=FACTORS, scale=scale
+            "peta", "exponential", log2_factors=FACTORS, scale=scale, execution=execution
         ),
     )
     report(
@@ -44,10 +45,11 @@ def test_appendix_period_sweep_exponential(benchmark):
 
 def test_appendix_period_sweep_weibull(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     result = run_once(
         benchmark,
         lambda: run_period_sweep(
-            "peta", "weibull", log2_factors=FACTORS, scale=scale
+            "peta", "weibull", log2_factors=FACTORS, scale=scale, execution=execution
         ),
     )
     report(

@@ -4,7 +4,8 @@ Three arms run the *same* Weibull scenario with the same seed and
 compare per-trace makespans bit-for-bit:
 
 1. **baseline** — scalar survival kernels, replan memo off, serial
-   (``DPNextFailurePolicy(vectorized=False, use_memo=False)``): the
+   (``DPNextFailurePolicy(vectorized=False)`` under
+   ``ExecutionConfig(use_memo=False)``): the
    pre-pipeline reference path.  The DP *table* cache stays on in every
    arm (it predates this pipeline), so the measured speedup isolates
    the vectorized kernels + replan memo + shared-memory layers.
@@ -39,6 +40,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.cluster.models import ConstantOverhead, Platform  # noqa: E402
 from repro.core.cache import clear_cache, clear_replan_memo  # noqa: E402
 from repro.distributions.weibull import Weibull  # noqa: E402
+from repro.execution import ExecutionConfig  # noqa: E402
 from repro.policies.dp import DPNextFailurePolicy  # noqa: E402
 from repro.simulation.runner import run_scenarios  # noqa: E402
 
@@ -50,9 +52,12 @@ HOUR = 3600.0
 DAY = 24 * HOUR
 
 
-def _arm(policy: DPNextFailurePolicy, scenario: dict, jobs: int,
-         use_shm: bool) -> dict:
-    """Run one arm cold (both caches cleared) and time it."""
+def _arm(policy: DPNextFailurePolicy, scenario: dict,
+         execution: ExecutionConfig) -> dict:
+    """Run one arm cold (both caches cleared) and time it.  Every arm
+    runs with the disk tier off: each must pay its own in-memory cold
+    cost, and a persistent tier would hand arms 2 and 3 the solves arm
+    1 just paid for."""
     clear_cache()
     clear_replan_memo()
     t0 = time.perf_counter()
@@ -65,12 +70,7 @@ def _arm(policy: DPNextFailurePolicy, scenario: dict, jobs: int,
         seed=scenario["seed"],
         include_lower_bound=False,
         include_period_lb=False,
-        jobs=jobs,
-        use_memo=policy.use_memo,
-        use_shm=use_shm,
-        # each arm must pay its own in-memory cold cost; a persistent
-        # tier would hand arms 2 and 3 the solves arm 1 just paid for
-        use_disk_cache=False,
+        execution=execution,
     )
     elapsed = time.perf_counter() - t0
     return {
@@ -101,17 +101,16 @@ def bench_pipeline(smoke: bool) -> dict:
     # publication path is exercised (its gate is identity, not speed).
     jobs = max(2, min(4, os.cpu_count() or 1))
 
+    serial = ExecutionConfig(use_shm=False, use_disk_cache=False)
     baseline = _arm(
-        DPNextFailurePolicy(n_grid=n_grid, vectorized=False, use_memo=False),
-        scenario, jobs=1, use_shm=False,
+        DPNextFailurePolicy(n_grid=n_grid, vectorized=False),
+        scenario, ExecutionConfig(use_memo=False, use_shm=False,
+                                  use_disk_cache=False),
     )
-    fast = _arm(
-        DPNextFailurePolicy(n_grid=n_grid),
-        scenario, jobs=1, use_shm=False,
-    )
+    fast = _arm(DPNextFailurePolicy(n_grid=n_grid), scenario, serial)
     par = _arm(
         DPNextFailurePolicy(n_grid=n_grid),
-        scenario, jobs=jobs, use_shm=True,
+        scenario, ExecutionConfig(jobs=jobs, use_disk_cache=False),
     )
 
     identical = bool(

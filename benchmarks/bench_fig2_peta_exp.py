@@ -9,14 +9,15 @@ DPNextFailure (its all-rejuvenation assumption is harmless here).
 from repro.analysis import format_series
 from repro.experiments.scaling import run_scaling_experiment
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 
 def test_fig2_petascale_exponential(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     result = run_once(
         benchmark,
-        lambda: run_scaling_experiment("peta", "exponential", scale=scale),
+        lambda: run_scaling_experiment("peta", "exponential", scale=scale, execution=execution),
     )
     text = format_series(
         "p",

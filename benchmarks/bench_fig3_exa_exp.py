@@ -7,14 +7,15 @@ optimal-grade under Exponential failures even at 2^20 processors.
 from repro.analysis import format_series
 from repro.experiments.scaling import run_scaling_experiment
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 
 def test_fig3_exascale_exponential(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     result = run_once(
         benchmark,
-        lambda: run_scaling_experiment("exa", "exponential", scale=scale),
+        lambda: run_scaling_experiment("exa", "exponential", scale=scale, execution=execution),
     )
     text = format_series(
         "p",

@@ -10,14 +10,15 @@ than DPNextFailure, which stays within ~0.6% of PeriodLB; Liu is absent
 from repro.analysis import format_series
 from repro.experiments.scaling import run_scaling_experiment
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 
 def test_fig4_petascale_weibull(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     result = run_once(
         benchmark,
-        lambda: run_scaling_experiment("peta", "weibull", scale=scale),
+        lambda: run_scaling_experiment("peta", "weibull", scale=scale, execution=execution),
     )
     text = format_series(
         "p",

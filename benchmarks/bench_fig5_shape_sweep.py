@@ -10,13 +10,14 @@ assumption); at k=1 (Exponential) everyone converges.
 from repro.analysis import format_series
 from repro.experiments.shape_sweep import DEFAULT_SHAPES, run_shape_sweep
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 
 def test_fig5_weibull_shape_sweep(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     result = run_once(
-        benchmark, lambda: run_shape_sweep(shapes=DEFAULT_SHAPES, scale=scale)
+        benchmark, lambda: run_shape_sweep(shapes=DEFAULT_SHAPES, scale=scale, execution=execution)
     )
     text = format_series(
         "k",

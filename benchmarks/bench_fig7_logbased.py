@@ -11,11 +11,12 @@ import dataclasses
 from repro.analysis import format_series
 from repro.experiments.logbased import run_logbased_experiment
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 
 def test_fig7_logbased_cluster19(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     # the log-based regime sees a failure every few minutes: trim the
     # trace count so the bench stays in budget
     scale = dataclasses.replace(
@@ -24,7 +25,7 @@ def test_fig7_logbased_cluster19(benchmark):
         n_p_points=min(scale.n_p_points, 3),
     )
     result = run_once(
-        benchmark, lambda: run_logbased_experiment(cluster=19, scale=scale)
+        benchmark, lambda: run_logbased_experiment(cluster=19, scale=scale, execution=execution)
     )
     text = format_series(
         "p",

@@ -27,6 +27,7 @@ import numpy as np
 from repro.cluster.models import ConstantOverhead, Platform
 from repro.core.cache import cache_stats, clear_cache
 from repro.distributions import Weibull
+from repro.execution import ExecutionConfig
 from repro.experiments import SMOKE
 from repro.policies import DPMakespanPolicy, DPNextFailurePolicy, OptExp, Young
 from repro.simulation.runner import run_scenarios
@@ -50,8 +51,7 @@ def _sweep(jobs: int, use_cache: bool, n_traces: int):
         horizon=400 * DAY,
         seed=2011,
         period_lb_factors=[0.5, 0.8, 1.0, 1.25, 2.0],
-        jobs=jobs,
-        use_cache=use_cache,
+        execution=ExecutionConfig(jobs=jobs, use_cache=use_cache),
     )
 
 

@@ -55,6 +55,7 @@ def _child_main(config: dict) -> dict:
 
     from repro.cluster.models import ConstantOverhead, Platform
     from repro.distributions.weibull import Weibull
+    from repro.execution import ExecutionConfig
     from repro.policies.dp import DPNextFailurePolicy
     from repro.simulation.runner import run_scenarios
 
@@ -78,8 +79,10 @@ def _child_main(config: dict) -> dict:
             seed=config["seed"],
             include_lower_bound=False,
             include_period_lb=False,
-            jobs=config["jobs"],
-            use_disk_cache=config.get("use_disk_cache", True),
+            execution=ExecutionConfig(
+                jobs=config["jobs"],
+                use_disk_cache=config.get("use_disk_cache", True),
+            ),
         )
         pass_seconds.append(time.perf_counter() - t0)
     # counters and makespans below are the LAST pass's (each

@@ -6,11 +6,11 @@ signature), each in its **own child process** against a private
 ``.repro-service/`` root so the persistent disk tier cannot leak
 between arms:
 
-1. **baseline** — ``run_sweep(..., use_sweep_plan=False)``: every grid
+1. **baseline** — ``use_sweep_plan=False``: every grid
    point runs as an independent scenario, regenerating its trace set
    and recompiling its :class:`TraceEnsemble` — exactly what a loop of
    ``repro run`` calls would execute.
-2. **sweep** — ``run_sweep(..., use_sweep_plan=True)``: the planner
+2. **sweep** — ``use_sweep_plan=True``: the planner
    collapses the grid into one trace group; traces are generated once
    and the ensemble compiled once for all 24 points.
 
@@ -70,6 +70,7 @@ def _child_main(config: dict) -> dict:
         comparable_result_payload,
         scenario_result_to_dict,
     )
+    from repro.execution import ExecutionConfig
     from repro.service.spec import expand_grid
     from repro.simulation.sweep import run_sweep
 
@@ -77,9 +78,11 @@ def _child_main(config: dict) -> dict:
     t0 = time.perf_counter()
     sweep = run_sweep(
         specs,
-        jobs=config["jobs"],
-        use_sweep_plan=config["use_sweep_plan"],
-        use_disk_cache=False,  # isolate trace-sharing from the disk tier
+        ExecutionConfig(
+            jobs=config["jobs"],
+            use_sweep_plan=config["use_sweep_plan"],
+            use_disk_cache=False,  # isolate trace-sharing from the disk tier
+        ),
     )
     seconds = time.perf_counter() - t0
     # canonical JSON of the comparable payload per point: the parent's

@@ -10,7 +10,7 @@ from repro.analysis import format_degradation_table
 from repro.experiments.single_proc import run_single_proc_experiment
 from repro.units import DAY, HOUR, WEEK
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 ORDER = [
     "LowerBound",
@@ -28,10 +28,11 @@ ORDER = [
 
 def test_table2_single_proc_exponential(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     result = run_once(
         benchmark,
         lambda: run_single_proc_experiment(
-            "exponential", mtbfs=(HOUR, DAY, WEEK), scale=scale
+            "exponential", mtbfs=(HOUR, DAY, WEEK), scale=scale, execution=execution
         ),
     )
     blocks = []

@@ -9,16 +9,17 @@ from repro.analysis import format_degradation_table
 from repro.experiments.single_proc import run_single_proc_experiment
 from repro.units import DAY, HOUR, WEEK
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 from bench_table2 import ORDER
 
 
 def test_table3_single_proc_weibull(benchmark):
     scale = bench_scale()
+    execution = bench_execution()
     result = run_once(
         benchmark,
         lambda: run_single_proc_experiment(
-            "weibull", mtbfs=(HOUR, DAY, WEEK), scale=scale, weibull_k=0.7
+            "weibull", mtbfs=(HOUR, DAY, WEEK), scale=scale, execution=execution, weibull_k=0.7
         ),
     )
     blocks = []

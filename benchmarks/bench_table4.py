@@ -11,7 +11,7 @@ Plus Section 5.2.2: DPNextFailure sees 38 failures per run on average
 from repro.analysis import format_degradation_table
 from repro.experiments.scaling import run_table4
 
-from _util import bench_scale, report, run_once
+from _util import bench_execution, bench_scale, report, run_once
 
 ORDER = [
     "LowerBound",
@@ -28,7 +28,8 @@ ORDER = [
 
 def test_table4_petascale_weibull(benchmark):
     scale = bench_scale()
-    result = run_once(benchmark, lambda: run_table4(scale=scale))
+    execution = bench_execution()
+    result = run_once(benchmark, lambda: run_table4(scale=scale, execution=execution))
     text = format_degradation_table(
         result.stats,
         title=(

@@ -35,7 +35,8 @@ Scenario-running subcommands take ``--jobs N`` (fan scenario work out
 over ``N`` worker processes; 0 = one per CPU; results are bit-identical
 to ``--jobs 1``) plus the
 ``--no-cache/--no-batch/--no-memo/--no-shm/--no-disk-cache`` escape
-hatches — see ``docs/performance.md``.
+hatches, parsed into one :class:`~repro.execution.ExecutionConfig` per
+invocation — see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -240,21 +241,11 @@ def _parse_grid(items: list[str] | None) -> dict[str, list[Any]]:
     return grid
 
 
-def _execution_dict(args: argparse.Namespace) -> dict[str, Any]:
-    """The per-invocation execution knobs as an options dict."""
-    out: dict[str, Any] = {}
-    if getattr(args, "jobs", None) is not None:
-        out["jobs"] = args.jobs
-    for flag, key in (
-        ("no_cache", "use_cache"),
-        ("no_batch", "use_batch"),
-        ("no_memo", "use_memo"),
-        ("no_shm", "use_shm"),
-        ("no_disk_cache", "use_disk_cache"),
-    ):
-        if getattr(args, flag, False):
-            out[key] = False
-    return out
+def _execution(args: argparse.Namespace):
+    """The invocation's :class:`~repro.execution.ExecutionConfig`."""
+    from repro.execution import ExecutionConfig
+
+    return ExecutionConfig.from_args(args)
 
 
 # ----------------------------------------------------------------------
@@ -266,10 +257,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.service.serialize import scenario_result_to_dict
 
     spec = _spec_from_args(args)
-    execution = _execution_dict(args)
     hlog(f"running scenario {spec.signature()[:12]} "
          f"({len(spec.policies)} policies x {spec.n_traces} traces)")
-    result = spec.run(**execution)
+    result = spec.run(execution=_execution(args))
     data = {
         "spec": spec.to_dict(),
         "signature": spec.signature(),
@@ -290,7 +280,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if len(spec.policies) < 2:
         hlog("note: comparing a single policy; add --policies a,b,c")
-    result = spec.run(**_execution_dict(args))
+    result = spec.run(execution=_execution(args))
     stats = degradation_from_best(result.makespans)
     policies: dict[str, Any] = {}
     for name, spans in result.makespans.items():
@@ -325,16 +315,16 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     from repro.simulation.runner import aggregate_counters
 
     spec = _spec_from_args(args)
-    execution = _execution_dict(args)
+    execution = _execution(args)
     clear_cache()
     clear_replan_memo()
     hlog(f"benchmark: cold run of {spec.signature()[:12]} ...")
     t0 = time.perf_counter()  # reprolint: clock-ok=benchmark timing
-    cold = spec.run(**execution)
+    cold = spec.run(execution=execution)
     cold_s = time.perf_counter() - t0  # reprolint: clock-ok=benchmark timing
     hlog(f"benchmark: warm run ({cold_s:.2f}s cold) ...")
     t0 = time.perf_counter()  # reprolint: clock-ok=benchmark timing
-    warm = spec.run(**execution)
+    warm = spec.run(execution=execution)
     warm_s = time.perf_counter() - t0  # reprolint: clock-ok=benchmark timing
     data = {
         "spec": spec.to_dict(),
@@ -368,14 +358,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _raw_spec_from_args(args)
     grid = _parse_grid(args.grid)
     specs = expand_grid(base, grid)
-    use_sweep_plan = not args.no_sweep_plan
+    execution = _execution(args)
 
     if args.submit:
         client = _client(args)
         env = client.submit_batch(
             specs=[spec.to_dict() for spec in specs],
-            execution=_execution_dict(args) or None,
-            use_sweep_plan=use_sweep_plan,
+            execution=execution.to_dict(),
         )
         if not env["ok"]:
             return emit({**env, "command": "sweep"})
@@ -399,18 +388,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             },
         ))
 
-    execution = _execution_dict(args)
     axes = ", ".join(f"{k}x{len(v)}" for k, v in grid.items())
     hlog(f"sweep: {len(specs)} grid point(s) ({axes or 'no axes'})")
     sweep = run_sweep(
         specs,
-        jobs=execution.get("jobs"),
-        use_cache=execution.get("use_cache"),
-        use_batch=execution.get("use_batch"),
-        use_memo=execution.get("use_memo"),
-        use_shm=execution.get("use_shm"),
-        use_disk_cache=execution.get("use_disk_cache"),
-        use_sweep_plan=use_sweep_plan,
+        execution,
         progress=lambda done, total: hlog(f"sweep: {done}/{total} points"),
     )
     points = [
@@ -480,7 +462,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.simulation import simulate_job, simulate_lower_bound
     from repro.traces import generate_platform_traces
 
-    _apply_execution_flags(args)
     dist = _make_dist(args)
     mtbf_platform = (dist.mean() + args.downtime) / args.units
     # the 60x on per-processor work is a horizon budget, not a minute
@@ -570,7 +551,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.analysis import ascii_chart, format_degradation_table, format_series
     from repro.experiments import MEDIUM, SMALL, SMOKE
 
-    _apply_execution_flags(args)
+    execution = _execution(args)
     scale = {"smoke": SMOKE, "small": SMALL, "medium": MEDIUM}[args.scale]
     name = args.name
     data: dict[str, Any] = {"name": name, "scale": args.scale}
@@ -579,7 +560,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         from repro.experiments.single_proc import run_single_proc_experiment
 
         kind = "exponential" if name == "table2" else "weibull"
-        result = run_single_proc_experiment(kind, scale=scale)
+        result = run_single_proc_experiment(kind, scale=scale, execution=execution)
         rendered: list[str] = []
         tables: dict[str, Any] = {}
         for mtbf in result.mtbfs:
@@ -591,7 +572,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     elif name == "table4":
         from repro.experiments.scaling import run_table4
 
-        result = run_table4(scale=scale)
+        result = run_table4(scale=scale, execution=execution)
         data["table"] = _stats_dict(result.stats)
         data["dp_failures"] = {
             "avg": result.dp_failures_avg,
@@ -621,13 +602,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         if name == "fig5":
             from repro.experiments.shape_sweep import run_shape_sweep
 
-            result = run_shape_sweep(scale=scale)
+            result = run_shape_sweep(scale=scale, execution=execution)
             xs, series = list(result.shapes), result.series()
             xlabel = "k"
         elif name == "fig7":
             from repro.experiments.logbased import run_logbased_experiment
 
-            result = run_logbased_experiment(scale=scale)
+            result = run_logbased_experiment(scale=scale, execution=execution)
             xs, series = list(result.p_values), result.series()
             xlabel = "p"
         else:  # fig2/3/4/6: scaling figures
@@ -637,7 +618,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 "fig2": "peta", "fig3": "exa", "fig4": "peta", "fig6": "exa",
             }[name]
             dist_kind = "exponential" if name in ("fig2", "fig3") else "weibull"
-            result = run_scaling_experiment(platform_kind, dist_kind, scale=scale)
+            result = run_scaling_experiment(
+                platform_kind, dist_kind, scale=scale, execution=execution
+            )
             xs, series = list(result.p_values), result.series()
             xlabel = "p"
         data["x"] = {"label": xlabel, "values": xs}
@@ -827,7 +810,7 @@ def _client(args: argparse.Namespace):
 def cmd_submit(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     client = _client(args)
-    env = client.submit(spec.to_dict(), execution=_execution_dict(args) or None)
+    env = client.submit(spec.to_dict(), execution=_execution(args).to_dict())
     if not env["ok"]:
         return emit({**env, "command": "submit"})
     data = dict(env["data"])
@@ -955,24 +938,6 @@ def _add_execution_args(p: argparse.ArgumentParser) -> None:
                         "results; every solve stays in-process)")
 
 
-def _apply_execution_flags(args: argparse.Namespace) -> None:
-    """Install --jobs/--no-cache/--no-batch/--no-memo/--no-shm/
-    --no-disk-cache as the process-wide execution default so every
-    driver underneath the command inherits them."""
-    from repro.simulation.parallel import set_default_execution
-
-    set_default_execution(
-        jobs=getattr(args, "jobs", None),
-        use_cache=False if getattr(args, "no_cache", False) else None,
-        use_batch=False if getattr(args, "no_batch", False) else None,
-        use_memo=False if getattr(args, "no_memo", False) else None,
-        use_shm=False if getattr(args, "no_shm", False) else None,
-        use_disk_cache=(
-            False if getattr(args, "no_disk_cache", False) else None
-        ),
-    )
-
-
 def _add_common_scenario_args(
     p: argparse.ArgumentParser, defaults: bool = True
 ) -> None:
@@ -1095,7 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--lower-bound", action="store_true",
                        help="also report the omniscient lower bound")
-    _add_execution_args(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_exp = sub.add_parser("experiment", help="run a paper table/figure")

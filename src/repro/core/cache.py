@@ -23,8 +23,9 @@ Invalidation rules:
 - the cache is keyed on *values*, not identities, so there is nothing to
   invalidate as long as distributions are immutable (they are);
 - :func:`clear_cache` empties it (tests, memory pressure);
-- :func:`configure_cache` ``enabled=False`` bypasses it entirely (the
-  CLI ``--no-cache`` escape hatch); every lookup then counts as a miss;
+- ``ExecutionConfig.use_cache=False`` (:mod:`repro.execution`, the CLI
+  ``--no-cache`` escape hatch) bypasses it entirely; every lookup then
+  counts as a miss;
 - the cache is bounded (LRU, default 256 tables) so unbounded sweeps
   cannot exhaust memory.
 
@@ -40,9 +41,14 @@ keyed wrappers consult the persistent disk tier
 hosts) before solving cold, and publish fresh solves back to it.  A
 disk hit is bit-identical to a cold solve (NumPy's binary format
 round-trips the tables exactly), so the tier never changes results —
-only who pays the solve.  ``use_disk_cache=False`` (the
-``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE`` escape hatches)
+only who pays the solve.  ``ExecutionConfig.use_disk_cache=False``
+(the ``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE`` escape hatches)
 bypasses it entirely.
+
+Both stores read their switch from the *active* execution config
+(:func:`repro.execution.active_execution`), which the runner sets per
+run and per work unit — there is no process-global on/off flag for a
+concurrent run to overwrite.
 
 Replan memo
 -----------
@@ -59,7 +65,7 @@ Quantization makes collisions common: every trace's fresh-platform
 initial plan shares one entry, truncated replans share the same horizon
 and quantum, and post-failure states (one age at zero, survivors on the
 lattice) collide across traces.  Controlled by
-:func:`configure_replan_memo` (the ``--no-memo`` /
+``ExecutionConfig.use_memo`` (the ``--no-memo`` /
 ``REPRO_BENCH_NO_MEMO`` escape hatches); counters are surfaced as
 ``ScenarioResult.memo_hits`` / ``memo_misses``.
 """
@@ -71,6 +77,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.execution import active_execution
 
 __all__ = [
     "CacheStats",
@@ -111,18 +119,25 @@ class DPTableCache:
     """Bounded LRU table store with hit/miss accounting.
 
     Thread-safe; the stored values are treated as immutable (the DP
-    result objects are never mutated after construction).
+    result objects are never mutated after construction).  ``switch``
+    names the :class:`~repro.execution.ExecutionConfig` field that gates
+    the store (None: always on).
     """
 
-    def __init__(self, maxsize: int = 256, enabled: bool = True):
+    def __init__(self, maxsize: int = 256, switch: str | None = None):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
-        self.enabled = enabled
+        self.switch = switch
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+
+    @property
+    def enabled(self) -> bool:
+        """Whether the active execution config turns this store on."""
+        return self.switch is None or bool(getattr(active_execution(), self.switch))
 
     def get_or_compute(self, key, compute):
         """Return the cached value for ``key``, computing it on a miss.
@@ -131,7 +146,8 @@ class DPTableCache:
         miss) without storing, so ``--no-cache`` runs measure the true
         uncached cost.
         """
-        if self.enabled:
+        enabled = self.enabled
+        if enabled:
             with self._lock:
                 if key in self._data:
                     self.hits += 1
@@ -140,7 +156,7 @@ class DPTableCache:
         value = compute()
         with self._lock:
             self.misses += 1
-            if self.enabled:
+            if enabled:
                 self._data[key] = value
                 self._data.move_to_end(key)
                 while len(self._data) > self.maxsize:
@@ -196,7 +212,7 @@ class DPTableCache:
             return len(self._data)
 
 
-_CACHE = DPTableCache()
+_CACHE = DPTableCache(switch="use_cache")
 
 
 def get_cache() -> DPTableCache:
@@ -204,11 +220,8 @@ def get_cache() -> DPTableCache:
     return _CACHE
 
 
-def configure_cache(enabled: bool | None = None, maxsize: int | None = None) -> None:
-    """Adjust the global cache.  Disabling does not drop stored tables;
-    re-enabling resumes hitting them."""
-    if enabled is not None:
-        _CACHE.enabled = bool(enabled)
+def configure_cache(maxsize: int | None = None) -> None:
+    """Resize the global cache (on/off is ``ExecutionConfig.use_cache``)."""
     if maxsize is not None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
@@ -332,7 +345,7 @@ def cached_dp_next_failure_parallel(
 # Whole-replan results are tiny (a chunk array + scalars) while the hit
 # rate compounds across traces, so the memo can afford a deeper LRU than
 # the table cache.
-_REPLAN_MEMO = DPTableCache(maxsize=4096)
+_REPLAN_MEMO = DPTableCache(maxsize=4096, switch="use_memo")
 
 
 def get_replan_memo() -> DPTableCache:
@@ -340,14 +353,9 @@ def get_replan_memo() -> DPTableCache:
     return _REPLAN_MEMO
 
 
-def configure_replan_memo(
-    enabled: bool | None = None, maxsize: int | None = None
-) -> None:
-    """Adjust the global replan memo.  Disabling does not drop stored
-    results; re-enabling resumes hitting them (mirrors
-    :func:`configure_cache`)."""
-    if enabled is not None:
-        _REPLAN_MEMO.enabled = bool(enabled)
+def configure_replan_memo(maxsize: int | None = None) -> None:
+    """Resize the global replan memo (on/off is
+    ``ExecutionConfig.use_memo``)."""
     if maxsize is not None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")

@@ -41,8 +41,10 @@ The tier is bounded by a byte budget (LRU by file *mtime*, which
 ``noatime``-mounted filesystems; default 256 MiB) and observable: per-process hit/miss/store/evict counters feed
 ``ScenarioResult.disk_hits`` / ``disk_misses`` / ``disk_evictions``,
 and advisory lifetime counters are persisted next to the entries for
-``repro store``.  ``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE``
-bypass the tier entirely (the slow path is simply the cold solve).
+``repro store``.  ``ExecutionConfig.use_disk_cache=False``
+(``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE``), read from the
+active execution config, bypasses the tier entirely (the slow path is
+simply the cold solve).
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+
+from repro.execution import active_execution
 
 __all__ = [
     "DiskCacheStats",
@@ -164,21 +168,20 @@ class DiskSolveCache:
     ``<base>/solvecache/<store_version()>/<kind>/<digest[:2]>/``, safe
     to share through any filesystem.  Thread-safe within a process;
     cross-process writers of the same key are idempotent (atomic
-    replace of identical content).  ``enabled=False`` turns every
-    operation into a no-op so the cold path is always reachable.
+    replace of identical content).  An active execution config with
+    ``use_disk_cache=False`` turns every load and store into a no-op so
+    the cold path is always reachable.
     """
 
     def __init__(
         self,
         root: Path | None = None,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        enabled: bool = True,
     ):
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
         self._base = Path(root) if root is not None else None
         self.max_bytes = int(max_bytes)
-        self.enabled = enabled
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -188,6 +191,11 @@ class DiskSolveCache:
             "hits": 0, "misses": 0, "stores": 0, "evictions": 0
         }
         self._pruned = False
+
+    @property
+    def enabled(self) -> bool:
+        """Whether the active execution config consults the tier."""
+        return active_execution().use_disk_cache
 
     # -- paths ---------------------------------------------------------
 
@@ -477,15 +485,11 @@ def get_disk_cache() -> DiskSolveCache:
 
 
 def configure_disk_cache(
-    enabled: bool | None = None,
     root: Path | str | None = None,
     max_bytes: int | None = None,
 ) -> None:
-    """Adjust the global disk tier.  Disabling never touches stored
-    entries; re-enabling resumes hitting them (mirrors
-    :func:`repro.core.cache.configure_cache`)."""
-    if enabled is not None:
-        _DISK.enabled = bool(enabled)
+    """Relocate or resize the global disk tier (on/off is
+    ``ExecutionConfig.use_disk_cache``)."""
     if root is not None:
         _DISK._base = Path(root)
         _DISK._pruned = False

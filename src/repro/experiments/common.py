@@ -8,6 +8,7 @@ from repro.analysis.degradation import DegradationStats, degradation_from_best
 from repro.cluster.models import Platform
 from repro.cluster.presets import PlatformPreset
 from repro.distributions import Exponential, Weibull
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.experiments.config import ExperimentScale
 from repro.policies import (
     Bouguerra,
@@ -99,16 +100,13 @@ def evaluate_scenario(
     scale: ExperimentScale,
     seed=0,
     include_period_lb: bool = True,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
 ) -> ScenarioOutcome:
     """Run all policies + LowerBound + PeriodLB and compute degradations.
 
-    ``jobs`` / ``use_cache`` select the execution mode (see
-    :func:`repro.simulation.runner.run_scenarios`); ``None`` reads the
-    process-wide default set by the CLI ``--jobs`` / ``--no-cache``
-    flags or :func:`repro.simulation.parallel.set_default_execution`,
-    so every experiment driver inherits them without plumbing.
+    ``execution`` selects the execution mode (see
+    :func:`repro.simulation.runner.run_scenarios`); the experiment
+    drivers forward the one their caller (CLI, benchmark) built.
     """
     raw = run_scenarios(
         policies,
@@ -124,7 +122,6 @@ def evaluate_scenario(
         ),
         period_lb_traces=min(scale.period_lb_traces, scale.n_traces),
         max_makespan=scale.max_makespan_factor * work_time,
-        jobs=jobs,
-        use_cache=use_cache,
+        execution=execution,
     )
     return ScenarioOutcome(raw=raw, degradation=degradation_from_best(raw.makespans))

@@ -19,6 +19,7 @@ from repro.analysis.degradation import DegradationStats
 from repro.cluster.models import ConstantOverhead, Platform
 from repro.cluster.presets import PETASCALE
 from repro.distributions import Empirical
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.experiments.common import evaluate_scenario, logbased_policies
 from repro.experiments.config import SMALL, ExperimentScale
 from repro.experiments.scaling import p_axis
@@ -54,6 +55,7 @@ def run_logbased_experiment(
     scale: ExperimentScale = SMALL,
     seed: int = 2011,
     work_factor: float = 0.25,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
 ) -> LogBasedResult:
     """``work_factor`` shortens the job relative to the preset's 8-day
     full-platform workload: in the log-based regime a failure strikes
@@ -93,6 +95,7 @@ def run_logbased_experiment(
             preset=preset,
             scale=scale,
             seed=seed,
+            execution=execution,
         )
         stats[p] = outcome.degradation
     return LogBasedResult(cluster=cluster, p_values=ps, stats=stats)

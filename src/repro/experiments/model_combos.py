@@ -15,6 +15,7 @@ from itertools import product
 
 from repro.analysis.degradation import DegradationStats
 from repro.cluster.models import Platform
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.experiments.common import (
     default_parallel_policies,
     evaluate_scenario,
@@ -54,6 +55,7 @@ def run_model_combo_experiment(
     weibull_k: float = 0.7,
     p: int | None = None,
     seed: int = 2011,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
 ) -> ComboResult:
     """Run the heuristic comparison for every (work model, overhead)
     combination at one processor count.
@@ -84,6 +86,7 @@ def run_model_combo_experiment(
             preset=preset,
             scale=scale,
             seed=seed,
+            execution=execution,
         )
         stats[(wm_kind, oh_kind)] = outcome.degradation
     return ComboResult(dist_kind=dist_kind, combos=tuple(combos), stats=stats)

@@ -18,6 +18,7 @@ import numpy as np
 from repro.analysis.degradation import DegradationStats, degradation_from_best
 from repro.cluster.models import Platform
 from repro.cluster.presets import PlatformPreset
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.experiments.common import make_distribution
 from repro.experiments.config import SMALL, ExperimentScale
 from repro.experiments.scaling import make_overhead, make_preset
@@ -45,6 +46,7 @@ def run_period_sweep(
     seed: int = 2011,
     preset: PlatformPreset | None = None,
     work_time: float | None = None,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
 ) -> PeriodSweepResult:
     """Sweep the period factor on one scenario.
 
@@ -82,6 +84,7 @@ def run_period_sweep(
         horizon=preset.horizon,
         t0=preset.start_offset,
         seed=seed,
+        execution=execution,
         include_period_lb=False,
         max_makespan=scale.max_makespan_factor * work_time * 2.0**4,
     )

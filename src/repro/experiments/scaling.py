@@ -24,6 +24,7 @@ from repro.cluster.models import (
     WorkModel,
 )
 from repro.cluster.presets import EXASCALE, PETASCALE, PlatformPreset
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.experiments.common import (
     default_parallel_policies,
     evaluate_scenario,
@@ -127,6 +128,7 @@ def run_scaling_experiment(
     seed: int = 2011,
     include_dpmakespan: bool | None = None,
     mtbf_factor: float = 1.0,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
 ) -> ScalingResult:
     """Reproduce one of the degradation-vs-p figures.
 
@@ -154,6 +156,7 @@ def run_scaling_experiment(
             preset=preset,
             scale=scale,
             seed=seed,
+            execution=execution,
         )
         stats[p] = outcome.degradation
     return ScalingResult(
@@ -177,6 +180,7 @@ def run_table4(
     scale: ExperimentScale = SMALL,
     weibull_k: float = 0.7,
     seed: int = 2011,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
 ) -> Table4Result:
     """Full scaled Petascale platform, Weibull failures, embarrassingly
     parallel job, constant overheads — with DPNextFailure failure counts
@@ -196,6 +200,7 @@ def run_table4(
         preset=preset,
         scale=scale,
         seed=seed,
+        execution=execution,
     )
     dp_details = outcome.raw.details.get("DPNextFailure", [])
     fails = [d.n_failures for d in dp_details if d is not None]

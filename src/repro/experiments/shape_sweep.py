@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.analysis.degradation import DegradationStats
 from repro.cluster.models import Platform
 from repro.distributions import Weibull
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.experiments.common import default_parallel_policies, evaluate_scenario
 from repro.experiments.config import SMALL, ExperimentScale
 from repro.experiments.scaling import make_overhead, make_preset
@@ -48,6 +49,7 @@ def run_shape_sweep(
     shapes=DEFAULT_SHAPES,
     scale: ExperimentScale = SMALL,
     seed: int = 2011,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
 ) -> ShapeSweepResult:
     """Degradation statistics per Weibull shape on the full scaled
     Petascale platform (Figure 5)."""
@@ -66,6 +68,7 @@ def run_shape_sweep(
             preset=preset,
             scale=scale,
             seed=seed,
+            execution=execution,
         )
         stats[k] = outcome.degradation
     return ShapeSweepResult(shapes=tuple(shapes), stats=stats)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.analysis.degradation import DegradationStats
 from repro.cluster.models import ConstantOverhead, Platform
 from repro.cluster.presets import SINGLE_PROC, PlatformPreset
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.experiments.common import (
     evaluate_scenario,
     make_distribution,
@@ -43,6 +44,7 @@ def run_single_proc_experiment(
     scale: ExperimentScale = SMALL,
     weibull_k: float = 0.7,
     seed: int = 2011,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
 ) -> SingleProcResult:
     """Reproduce Table 2 (``dist_kind='exponential'``) or Table 3
     (``'weibull'``)."""
@@ -73,6 +75,7 @@ def run_single_proc_experiment(
             preset=preset,
             scale=scale,
             seed=seed,
+            execution=execution,
         )
         stats[mtbf] = outcome.degradation
     return SingleProcResult(dist_kind=dist_kind, mtbfs=tuple(mtbfs), stats=stats)

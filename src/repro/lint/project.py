@@ -428,8 +428,12 @@ class _FunctionScanner(ast.NodeVisitor):
 
 # Fast-path knobs whose gating branches R14 audits: each selects a
 # bit-identical accelerated implementation with a reference escape hatch.
+# ``execution`` is the frozen ExecutionConfig that carries them all from
+# the CLI to the runner; the kernel-level names stay for the functions
+# below the runner that still take one switch.
 KNOB_NAMES = frozenset(
     {
+        "execution",
         "use_batch",
         "use_memo",
         "use_shm",

@@ -12,7 +12,10 @@ That escape hatch dies in two quiet ways R14 watches for:
   no longer *has* a reference branch to compare against;
 - **dropped knob** — a function that accepts a knob calls a callee that
   also accepts it but does not forward it: the CLI flag still parses,
-  the kernel below silently always runs one path.
+  the kernel below silently always runs one path.  The knob is usually
+  ``execution`` itself — the frozen ``ExecutionConfig`` that carries
+  every switch — so a driver that holds one and calls
+  ``run_scenarios`` without passing it on is flagged.
 
 Branch hazards are detected at summarize time (:mod:`repro.lint.project`
 records them per function); forwarding is checked here against the
@@ -69,8 +72,8 @@ class KnobParityRule:
     description = (
         "every function branching on a fast-path knob (use_batch, "
         "use_memo, use_shm, use_cache, vectorized) keeps a reference "
-        "slow-path branch, and callers holding a knob forward it to "
-        "callees that accept it"
+        "slow-path branch, and callers holding a knob or an execution "
+        "config forward it to callees that accept it"
     )
 
     def check(self, ctx) -> Iterator[Diagnostic]:  # pragma: no cover

@@ -53,13 +53,6 @@ class DPNextFailurePolicy(Policy):
     use_fraction:
         Fraction of the planned chunks actually executed before
         replanning when the plan was truncated (paper: 1/2).
-    use_memo:
-        Consult the process-wide replan memo
-        (:mod:`repro.core.cache`): replans whose quantized platform
-        state, horizon and DP parameters match a previous solve —
-        across traces, sweeps and runner workers — reuse the
-        bit-identical result.  ``False`` solves cold every time (the
-        ``--no-memo`` escape hatch).
     memo_quant:
         Age-lattice resolution in units of the DP quantum ``u``: before
         every replan the processor ages are snapped to multiples of
@@ -82,7 +75,6 @@ class DPNextFailurePolicy(Policy):
         truncation: float = 2.0,
         use_fraction: float = 0.5,
         compress: bool = True,
-        use_memo: bool = True,
         memo_quant: float = 1.0,
         vectorized: bool = True,
     ):
@@ -96,7 +88,6 @@ class DPNextFailurePolicy(Policy):
         self.truncation = truncation
         self.use_fraction = use_fraction
         self.compress = compress
-        self.use_memo = use_memo
         self.memo_quant = memo_quant
         self.vectorized = vectorized
         self._queue: deque[float] = deque()
@@ -140,20 +131,19 @@ class DPNextFailurePolicy(Policy):
                 horizon, ctx.checkpoint, state, u, vectorized=self.vectorized
             )
 
-        if self.use_memo:
-            result = cached_replan(
-                horizon,
-                ctx.checkpoint,
-                ctx.dist,
-                ages,
-                u,
-                self.nexact,
-                self.napprox,
-                self.compress,
-                solve,
-            )
-        else:
-            result = solve()
+        # every replan goes through the process-wide replan memo, which
+        # the active ExecutionConfig.use_memo switches on or off
+        result = cached_replan(
+            horizon,
+            ctx.checkpoint,
+            ctx.dist,
+            ages,
+            u,
+            self.nexact,
+            self.napprox,
+            self.compress,
+            solve,
+        )
         chunks = list(result.chunks)
         if truncated and len(chunks) > 1:
             keep = max(1, int(math.ceil(len(chunks) * self.use_fraction)))

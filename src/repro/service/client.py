@@ -146,7 +146,6 @@ class ServiceClient:
         base: dict[str, Any] | None = None,
         grid: dict[str, Any] | None = None,
         execution: dict[str, Any] | None = None,
-        use_sweep_plan: bool = True,
     ) -> dict[str, Any]:
         """Submit a sweep batch: an explicit spec list, or a base spec
         plus grid axes expanded server-side (exactly one of the two)."""
@@ -159,8 +158,6 @@ class ServiceClient:
             body["grid"] = grid
         if execution:
             body["execution"] = execution
-        if not use_sweep_plan:
-            body["use_sweep_plan"] = False
         return self.request("POST", "/v1/batches", body)
 
     def batches(self) -> dict[str, Any]:

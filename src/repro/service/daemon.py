@@ -12,7 +12,7 @@ Routes (all under ``/v1``):
 method    path                    meaning
 ========  ======================  ==========================================
 GET       /v1/health              liveness + version + store stats
-POST      /v1/jobs                submit ``{"spec": {...}, "execution": {}}``
+POST      /v1/jobs                submit ``{"spec": {...}, "execution": {...}}``
 GET       /v1/jobs                list all jobs (status snapshots)
 GET       /v1/jobs/<id>           one job's status
 GET       /v1/jobs/<id>/result    archived result (409 until terminal)
@@ -28,10 +28,14 @@ POST      /v1/shutdown            graceful stop
 A batch is one sweep: every point becomes a member job with the usual
 coalesce/cached semantics, points are grouped by trace signature and
 each group executes over one shared trace set
-(:meth:`~repro.service.queue.JobQueue.submit_batch`).  The batch body
-may carry ``"execution"`` knobs and ``"use_sweep_plan": false`` (the
-bit-identical independent-runs escape hatch).  Member jobs stay
-individually addressable under ``/v1/jobs/<id>``.
+(:meth:`~repro.service.queue.JobQueue.submit_batch`).  Member jobs
+stay individually addressable under ``/v1/jobs/<id>``.
+
+Both submit routes take an optional ``"execution"`` object, parsed
+strictly by :meth:`repro.execution.ExecutionConfig.from_dict`: known
+field names only, JSON booleans for the switches (including the
+batch-only ``use_sweep_plan``, the bit-identical independent-runs
+escape hatch) and an integer for ``jobs``.  Anything else is a 400.
 
 HTTP status mirrors envelope exit codes: 200 for ``ok``, 400 for bad
 requests, 404 for unknown jobs, 409 for not-ready results, 500 for
@@ -50,8 +54,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro._version import __version__
+from repro.execution import ExecutionConfig
 from repro.service.envelope import dumps, envelope, error_envelope, hlog
-from repro.service.queue import ExecutionOptions, JobQueue
+from repro.service.queue import JobQueue
 from repro.service.spec import ScenarioSpec, SpecError, expand_grid
 
 __all__ = ["ServiceDaemon"]
@@ -164,7 +169,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif method == "POST" and tail == ["jobs"]:
             body = self._read_body()
             spec = ScenarioSpec.from_dict(body.get("spec") or {})
-            execution = ExecutionOptions.from_dict(body.get("execution"))
+            execution = ExecutionConfig.from_dict(body.get("execution"))
             job = queue.submit(spec, execution)
             self._send(200, envelope("service.submit", job.to_status_dict()))
         elif method == "GET" and tail == ["jobs"]:
@@ -185,13 +190,13 @@ class _Handler(BaseHTTPRequestHandler):
         elif method == "POST" and tail == ["batches"]:
             body = self._read_body()
             specs = self._batch_specs(body)
-            execution = ExecutionOptions.from_dict(body.get("execution"))
-            use_sweep_plan = body.get("use_sweep_plan", True)
-            if not isinstance(use_sweep_plan, bool):
-                raise ValueError("use_sweep_plan must be a boolean")
-            batch = queue.submit_batch(
-                specs, execution, use_sweep_plan=use_sweep_plan
-            )
+            if "use_sweep_plan" in body:
+                raise ValueError(
+                    "top-level use_sweep_plan is not accepted; "
+                    "send it as execution.use_sweep_plan"
+                )
+            execution = ExecutionConfig.from_dict(body.get("execution"))
+            batch = queue.submit_batch(specs, execution)
             self._send(200, envelope(
                 "service.batch", queue.batch_status(batch.batch_id)
             ))

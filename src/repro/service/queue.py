@@ -6,8 +6,11 @@ never enters the queue, and a submission whose signature is already
 queued or running **coalesces** onto the live job instead of solving
 the same scenario twice.  Worker threads drain the queue; each job's
 scenario execution fans out over ParallelRunner processes, so the
-queue's worker count bounds *concurrent scenarios* while the execution
-config bounds *processes per scenario*.
+queue's worker count bounds *concurrent scenarios* while each job's
+:class:`~repro.execution.ExecutionConfig` bounds *processes per
+scenario*.  Concurrent jobs with different configs cannot interfere:
+the runner makes each job's config the active one of its own worker
+thread only.
 
 Batch submission (``POST /v1/batches``, :meth:`JobQueue.submit_batch`)
 layers the sweep planner on top: every point of a sweep becomes a
@@ -35,38 +38,16 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.service.serialize import scenario_result_to_dict
 from repro.service.spec import ScenarioSpec
 from repro.service.store import ResultStore
 
-__all__ = ["BatchRecord", "ExecutionOptions", "JobQueue", "JobRecord"]
+__all__ = ["BatchRecord", "JobQueue", "JobRecord"]
 
 #: Job states; ``cached`` and ``done`` both carry a result.
 STATES = ("queued", "running", "done", "failed", "cached")
 _TERMINAL = ("done", "failed", "cached")
-
-
-@dataclass(frozen=True)
-class ExecutionOptions:
-    """Execution knobs a submission may carry; never part of the
-    signature (they cannot change results, only wall-clock)."""
-
-    jobs: int | None = None
-    use_cache: bool | None = None
-    use_batch: bool | None = None
-    use_memo: bool | None = None
-    use_shm: bool | None = None
-    use_disk_cache: bool | None = None
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any] | None) -> "ExecutionOptions":
-        if not raw:
-            return cls()
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown execution keys: {sorted(unknown)}")
-        return cls(**raw)
 
 
 @dataclass
@@ -76,7 +57,8 @@ class JobRecord:
     job_id: str
     signature: str
     spec: ScenarioSpec
-    execution: ExecutionOptions
+    # never part of the signature: it cannot change results
+    execution: ExecutionConfig
     state: str = "queued"
     error: str | None = None
     submitted_at: float = 0.0
@@ -118,8 +100,7 @@ class _GroupTask:
     shared trace set (a queue entry alongside plain job ids)."""
 
     job_ids: list[str]
-    execution: ExecutionOptions
-    use_sweep_plan: bool = True
+    execution: ExecutionConfig
 
 
 @dataclass
@@ -167,7 +148,7 @@ class JobQueue:
     # -- submission ----------------------------------------------------
 
     def _register_locked(
-        self, spec: ScenarioSpec, execution: ExecutionOptions
+        self, spec: ScenarioSpec, execution: ExecutionConfig
     ) -> tuple[JobRecord, bool]:
         """Store-hit / live-coalesce / new-job logic, lock held by the
         caller; returns ``(job, newly_queued)`` — the caller decides how
@@ -199,7 +180,7 @@ class JobQueue:
     def submit(
         self,
         spec: ScenarioSpec,
-        execution: ExecutionOptions | None = None,
+        execution: ExecutionConfig = DEFAULT_EXECUTION,
     ) -> JobRecord:
         """Register a scenario; returns its (possibly pre-existing) job.
 
@@ -208,7 +189,6 @@ class JobQueue:
         caller polls the first submission's progress).  Otherwise a new
         ``queued`` job.
         """
-        execution = execution if execution is not None else ExecutionOptions()
         with self._lock:
             job, newly_queued = self._register_locked(spec, execution)
             if newly_queued:
@@ -218,8 +198,7 @@ class JobQueue:
     def submit_batch(
         self,
         specs: list[ScenarioSpec],
-        execution: ExecutionOptions | None = None,
-        use_sweep_plan: bool = True,
+        execution: ExecutionConfig = DEFAULT_EXECUTION,
     ) -> BatchRecord:
         """Register a sweep: one member job per grid point, coalesced
         into shared-trace group tasks.
@@ -233,6 +212,8 @@ class JobQueue:
         :func:`~repro.simulation.sweep.run_sweep`.  Results land in the
         store under each member's own signature, so later submissions
         hit regardless of how the batch was grouped.
+        ``execution.use_sweep_plan=False`` runs each group's points as
+        independent scenarios instead.
         """
         if not specs:
             raise ValueError("batch must contain at least one spec")
@@ -240,7 +221,6 @@ class JobQueue:
         # queue importable without pulling the whole execution tier
         from repro.simulation.sweep import trace_signature
 
-        execution = execution if execution is not None else ExecutionOptions()
         with self._lock:
             point_jobs: list[str] = []
             new_jobs: list[JobRecord] = []
@@ -270,16 +250,12 @@ class JobQueue:
                     "new_jobs": len(new_jobs),
                     "cached": cached,
                     "coalesced": len(specs) - len(new_jobs) - cached,
-                    "use_sweep_plan": use_sweep_plan,
+                    "use_sweep_plan": execution.use_sweep_plan,
                 },
             )
             self._batches[batch.batch_id] = batch
             for job_ids in groups.values():
-                self._tasks.put(_GroupTask(
-                    job_ids=job_ids,
-                    execution=execution,
-                    use_sweep_plan=use_sweep_plan,
-                ))
+                self._tasks.put(_GroupTask(job_ids=job_ids, execution=execution))
             return batch
 
     # -- execution -----------------------------------------------------
@@ -306,15 +282,7 @@ class JobQueue:
             job.progress_total = total
 
         try:
-            result = job.spec.run(
-                jobs=job.execution.jobs,
-                use_cache=job.execution.use_cache,
-                use_batch=job.execution.use_batch,
-                use_memo=job.execution.use_memo,
-                use_shm=job.execution.use_shm,
-                use_disk_cache=job.execution.use_disk_cache,
-                progress=on_progress,
-            )
+            result = job.spec.run(execution=job.execution, progress=on_progress)
             result_doc = scenario_result_to_dict(result)
             self.store.put(job.signature, job.spec.to_dict(), result_doc)
             with self._lock:
@@ -375,17 +343,10 @@ class JobQueue:
                 self._by_signature.pop(job.signature, None)
             job._event.set()
 
-        execution = task.execution
         try:
             run_sweep(
                 specs,
-                jobs=execution.jobs,
-                use_cache=execution.use_cache,
-                use_batch=execution.use_batch,
-                use_memo=execution.use_memo,
-                use_shm=execution.use_shm,
-                use_disk_cache=execution.use_disk_cache,
-                use_sweep_plan=task.use_sweep_plan,
+                task.execution,
                 on_point_start=on_point_start,
                 on_point_done=on_point_done,
                 point_progress=point_progress,

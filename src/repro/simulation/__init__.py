@@ -9,13 +9,8 @@ from repro.simulation.batch import (
     simulate_policy_ensemble,
 )
 from repro.simulation.engine import JobContext, simulate_job, simulate_lower_bound
-from repro.simulation.parallel import (
-    ExecutionConfig,
-    ParallelRunner,
-    SharedTraces,
-    get_default_execution,
-    set_default_execution,
-)
+from repro.execution import ExecutionConfig
+from repro.simulation.parallel import ParallelRunner, SharedTraces
 from repro.simulation.results import SimulationResult
 from repro.simulation.runner import (
     ScenarioResult,
@@ -45,8 +40,6 @@ __all__ = [
     "ExecutionConfig",
     "ParallelRunner",
     "SharedTraces",
-    "get_default_execution",
-    "set_default_execution",
     "SweepPlan",
     "SweepResult",
     "plan_sweep",

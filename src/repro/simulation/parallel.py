@@ -37,6 +37,12 @@ e.g. Liu on large Weibull platforms) are recorded explicitly in
 both paths; their makespans stay ``NaN`` as before, but the error is no
 longer silently swallowed.
 
+Execution is configured by one frozen
+:class:`~repro.execution.ExecutionConfig` (``execution``): the runner
+makes it the active config for the run and every work unit carries it
+into its worker (:func:`repro.execution.using_execution`), where the
+cache tiers read their switches from it.
+
 DP table caching is controlled per run (``use_cache``) and observable:
 workers return per-unit hit/miss deltas of :mod:`repro.core.cache`,
 aggregated into ``ScenarioResult.cache_hits`` / ``cache_misses``.  The
@@ -59,9 +65,10 @@ so later phases fork warm, while the disk tier shares solves between
 workers inside a phase.
 
 Shared-memory trace publication (``use_shm``, default on): with
-``jobs > 1`` the parent generates all traces and compiles the scenario
-ensemble once, publishes the arrays via
-:mod:`repro.simulation.shm`, and workers attach and copy out only the
+``jobs > 1`` the parent builds the scenario's trace set with the sweep
+engine's group builder (generate all traces, compile the ensemble once,
+publish the arrays via :mod:`repro.simulation.shm`), and workers
+attach and copy out only the
 rows of their work unit instead of regenerating per task (previously a
 trace could be rebuilt once per phase).  Any publish/attach failure
 falls back silently to regeneration — bit-identical by the determinism
@@ -89,28 +96,17 @@ estimates and per-unit wall-clock land in ``ScenarioResult.scheduler``.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.cluster.models import Platform
-from repro.core.cache import (
-    cache_stats,
-    configure_cache,
-    configure_replan_memo,
-    get_cache,
-    get_replan_memo,
-    replan_memo_stats,
-)
-from repro.core.diskcache import (
-    configure_disk_cache,
-    disk_cache_stats,
-    get_disk_cache,
-)
+from repro.core.cache import cache_stats, replan_memo_stats
+from repro.core.diskcache import disk_cache_stats, get_disk_cache
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig, using_execution
 from repro.simulation import shm as _shm
 from repro.policies.base import PeriodicPolicy
 from repro.simulation.batch import (
@@ -121,87 +117,7 @@ from repro.simulation.batch import (
 from repro.simulation.engine import simulate_lower_bound
 from repro.traces.generation import generate_platform_traces
 
-__all__ = [
-    "ExecutionConfig",
-    "ParallelRunner",
-    "SharedTraces",
-    "get_default_execution",
-    "set_default_execution",
-    "resolve_jobs",
-]
-
-
-@dataclass
-class ExecutionConfig:
-    """Process-wide defaults for scenario execution.
-
-    ``jobs``: worker processes (1 = in-process serial; 0 or negative =
-    one per available CPU).  ``use_cache``: consult the shared DP table
-    cache.  ``batch_size``: trace indices per work unit (None = split
-    evenly, ~4 units per worker for load balancing).  ``use_batch``:
-    replay static-schedule policies with the vectorized batch engine
-    (:mod:`repro.simulation.batch`); results are bit-identical either
-    way, so False is only an escape hatch / A-B check.  ``use_memo``:
-    consult the DPNextFailure replan memo (:mod:`repro.core.cache`).
-    ``use_shm``: publish traces/ensembles to workers via shared memory
-    (:mod:`repro.simulation.shm`); falls back to per-task regeneration
-    on any failure.  ``use_disk_cache``: consult the persistent disk
-    solve tier (:mod:`repro.core.diskcache`) under the in-memory
-    caches.  All five toggles leave results bit-identical.
-    """
-
-    jobs: int = 1
-    use_cache: bool = True
-    batch_size: int | None = None
-    use_batch: bool = True
-    use_memo: bool = True
-    use_shm: bool = True
-    use_disk_cache: bool = True
-
-
-_DEFAULT = ExecutionConfig()
-
-
-def get_default_execution() -> ExecutionConfig:
-    """A copy of the current default execution configuration."""
-    return replace(_DEFAULT)
-
-
-def set_default_execution(
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    batch_size: int | None = None,
-    use_batch: bool | None = None,
-    use_memo: bool | None = None,
-    use_shm: bool | None = None,
-    use_disk_cache: bool | None = None,
-) -> None:
-    """Set process-wide execution defaults (CLI flags, benchmark env)."""
-    if jobs is not None:
-        _DEFAULT.jobs = int(jobs)
-    if use_cache is not None:
-        _DEFAULT.use_cache = bool(use_cache)
-    if batch_size is not None:
-        _DEFAULT.batch_size = int(batch_size)
-    if use_batch is not None:
-        _DEFAULT.use_batch = bool(use_batch)
-    if use_memo is not None:
-        _DEFAULT.use_memo = bool(use_memo)
-    if use_shm is not None:
-        _DEFAULT.use_shm = bool(use_shm)
-    if use_disk_cache is not None:
-        _DEFAULT.use_disk_cache = bool(use_disk_cache)
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``jobs`` request: None -> default config, 0 or
-    negative -> one worker per available CPU."""
-    if jobs is None:
-        jobs = _DEFAULT.jobs
-    jobs = int(jobs)
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    return jobs
+__all__ = ["ParallelRunner", "SharedTraces"]
 
 
 @dataclass
@@ -349,10 +265,7 @@ class _TraceTask:
     policies: list
     include_lower_bound: bool
     max_makespan: float
-    use_cache: bool
-    use_batch: bool = True
-    use_memo: bool = True
-    use_disk_cache: bool = True
+    execution: ExecutionConfig
     collect_memo_delta: bool = False
     layout: object | None = None
     # in-process trace source (sweep groups, jobs<=1); never pickled —
@@ -361,13 +274,12 @@ class _TraceTask:
 
 
 @dataclass
-class _TraceTaskResult:
-    indices: list[int]
-    # per policy name: list of (makespan, SimulationResult | None) in
-    # index order; None marks an infeasible (policy, trace) pair
-    per_policy: dict[str, list[tuple[float, object]]]
-    infeasible: dict[str, list[int]] = field(default_factory=dict)
-    lower_bound: list[float] = field(default_factory=list)
+class _UnitCounters:
+    """What every work unit reports besides its results: cache, memo
+    and disk-tier deltas, the replan-memo entries it added (shipped
+    back for the parent to merge; empty unless ``collect_memo_delta``
+    was set) and its wall-clock (scheduler diagnostics)."""
+
     cache_hits: int = 0
     cache_misses: int = 0
     memo_hits: int = 0
@@ -375,23 +287,55 @@ class _TraceTaskResult:
     disk_hits: int = 0
     disk_misses: int = 0
     disk_evictions: int = 0
-    # replan-memo entries this unit added (shipped back for the parent
-    # to merge; empty unless collect_memo_delta was set)
     memo_delta: list = field(default_factory=list)
-    # wall-clock the unit took in its worker (scheduler diagnostics)
     unit_seconds: float = 0.0
 
 
-def _run_trace_task(task: _TraceTask) -> _TraceTaskResult:
+@dataclass
+class _TraceTaskResult(_UnitCounters):
+    indices: list[int] = field(default_factory=list)
+    # per policy name: list of (makespan, SimulationResult | None) in
+    # index order; None marks an infeasible (policy, trace) pair
+    per_policy: dict[str, list[tuple[float, object]]] = field(default_factory=dict)
+    infeasible: dict[str, list[int]] = field(default_factory=dict)
+    lower_bound: list[float] = field(default_factory=list)
+
+
+def _run_unit(task, work: Callable[..., dict]) -> dict:
+    """Run ``work(task)`` as one work unit under ``task.execution`` and
+    return its result fields plus the unit's :class:`_UnitCounters`."""
     unit_start = time.perf_counter()  # reprolint: clock-ok=scheduler diagnostics
-    configure_cache(enabled=task.use_cache)
-    configure_replan_memo(enabled=task.use_memo)
-    configure_disk_cache(enabled=task.use_disk_cache)
-    before = cache_stats()
-    memo_before = replan_memo_stats()
-    disk_before = disk_cache_stats()
-    memo_keys = _shm.memo_snapshot() if task.collect_memo_delta else None
+    with using_execution(task.execution):
+        cache0, memo0, disk0 = cache_stats(), replan_memo_stats(), disk_cache_stats()
+        memo_keys = _shm.memo_snapshot() if task.collect_memo_delta else None
+        out = work(task)
+        cache1, memo1, disk1 = cache_stats(), replan_memo_stats(), disk_cache_stats()
+        # persist hit counters a hit-only worker would otherwise never flush
+        get_disk_cache().flush_counters()
+        memo_delta = (
+            _shm.export_memo_delta(memo_keys) if memo_keys is not None else []
+        )
+    return dict(
+        out,
+        cache_hits=cache1.hits - cache0.hits,
+        cache_misses=cache1.misses - cache0.misses,
+        memo_hits=memo1.hits - memo0.hits,
+        memo_misses=memo1.misses - memo0.misses,
+        disk_hits=disk1.hits - disk0.hits,
+        disk_misses=disk1.misses - disk0.misses,
+        disk_evictions=disk1.evictions - disk0.evictions,
+        memo_delta=memo_delta,
+        unit_seconds=time.perf_counter() - unit_start,  # reprolint: clock-ok=scheduler diagnostics
+    )
+
+
+def _run_trace_task(task: _TraceTask) -> _TraceTaskResult:
+    return _TraceTaskResult(**_run_unit(task, _trace_unit))
+
+
+def _trace_unit(task: _TraceTask) -> dict:
     platform = task.platform
+    use_batch = task.execution.use_batch
     per_policy: dict[str, list[tuple[float, object]]] = {}
     infeasible: dict[str, list[int]] = {}
     lower_bound: list[float] = []
@@ -404,7 +348,7 @@ def _run_trace_task(task: _TraceTask) -> _TraceTaskResult:
         task.seed,
         task.indices,
         task.t0,
-        task.use_batch,
+        use_batch,
         task.layout,
         task.local,
     )
@@ -420,7 +364,7 @@ def _run_trace_task(task: _TraceTask) -> _TraceTaskResult:
             platform_mtbf=platform.platform_mtbf,
             max_makespan=task.max_makespan,
             ensemble=ensemble,
-            use_batch=task.use_batch,
+            use_batch=use_batch,
         )
         pairs: list[tuple[float, object]] = []
         for index, res in zip(task.indices, results):
@@ -449,27 +393,11 @@ def _run_trace_task(task: _TraceTask) -> _TraceTaskResult:
                 ).makespan
                 for tr in traces
             ]
-    after = cache_stats()
-    memo_after = replan_memo_stats()
-    disk_after = disk_cache_stats()
-    # persist hit counters a hit-only worker would otherwise never flush
-    get_disk_cache().flush_counters()
-    return _TraceTaskResult(
+    return dict(
         indices=list(task.indices),
         per_policy=per_policy,
         infeasible=infeasible,
         lower_bound=lower_bound,
-        cache_hits=after.hits - before.hits,
-        cache_misses=after.misses - before.misses,
-        memo_hits=memo_after.hits - memo_before.hits,
-        memo_misses=memo_after.misses - memo_before.misses,
-        disk_hits=disk_after.hits - disk_before.hits,
-        disk_misses=disk_after.misses - disk_before.misses,
-        disk_evictions=disk_after.evictions - disk_before.evictions,
-        memo_delta=(
-            _shm.export_memo_delta(memo_keys) if memo_keys is not None else []
-        ),
-        unit_seconds=time.perf_counter() - unit_start,  # reprolint: clock-ok=scheduler diagnostics
     )
 
 
@@ -486,10 +414,7 @@ class _PeriodTask:
     subset_indices: list[int]
     periods: list[float]
     max_makespan: float
-    use_cache: bool
-    use_batch: bool = True
-    use_memo: bool = True
-    use_disk_cache: bool = True
+    execution: ExecutionConfig
     collect_memo_delta: bool = False
     layout: object | None = None
     # in-process trace source (sweep groups, jobs<=1); never pickled
@@ -497,29 +422,17 @@ class _PeriodTask:
 
 
 @dataclass
-class _PeriodTaskResult:
-    means: list[float]
-    cache_hits: int = 0
-    cache_misses: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    disk_evictions: int = 0
-    memo_delta: list = field(default_factory=list)
-    unit_seconds: float = 0.0
+class _PeriodTaskResult(_UnitCounters):
+    means: list[float] = field(default_factory=list)
 
 
 def _run_period_task(task: _PeriodTask) -> _PeriodTaskResult:
-    unit_start = time.perf_counter()  # reprolint: clock-ok=scheduler diagnostics
-    configure_cache(enabled=task.use_cache)
-    configure_replan_memo(enabled=task.use_memo)
-    configure_disk_cache(enabled=task.use_disk_cache)
-    before = cache_stats()
-    memo_before = replan_memo_stats()
-    disk_before = disk_cache_stats()
-    memo_keys = _shm.memo_snapshot() if task.collect_memo_delta else None
+    return _PeriodTaskResult(**_run_unit(task, _period_unit))
+
+
+def _period_unit(task: _PeriodTask) -> dict:
     platform = task.platform
+    use_batch = task.execution.use_batch
     # The compiled ensemble is period-independent: one compilation is
     # amortized over the entire candidate sweep of this work unit.
     traces, ensemble = _task_traces(
@@ -528,7 +441,7 @@ def _run_period_task(task: _PeriodTask) -> _PeriodTaskResult:
         task.seed,
         task.subset_indices,
         task.t0,
-        task.use_batch,
+        use_batch,
         task.layout,
         task.local,
     )
@@ -546,30 +459,12 @@ def _run_period_task(task: _PeriodTask) -> _PeriodTaskResult:
             platform_mtbf=platform.platform_mtbf,
             max_makespan=task.max_makespan,
             ensemble=ensemble,
-            use_batch=task.use_batch,
+            use_batch=use_batch,
         )
         # a PeriodicPolicy is never infeasible: every entry is a result
         spans = [res.makespan for res in results if res is not None]
         means.append(float(np.mean(spans)))
-    after = cache_stats()
-    memo_after = replan_memo_stats()
-    disk_after = disk_cache_stats()
-    # persist hit counters a hit-only worker would otherwise never flush
-    get_disk_cache().flush_counters()
-    return _PeriodTaskResult(
-        means=means,
-        cache_hits=after.hits - before.hits,
-        cache_misses=after.misses - before.misses,
-        memo_hits=memo_after.hits - memo_before.hits,
-        memo_misses=memo_after.misses - memo_before.misses,
-        disk_hits=disk_after.hits - disk_before.hits,
-        disk_misses=disk_after.misses - disk_before.misses,
-        disk_evictions=disk_after.evictions - disk_before.evictions,
-        memo_delta=(
-            _shm.export_memo_delta(memo_keys) if memo_keys is not None else []
-        ),
-        unit_seconds=time.perf_counter() - unit_start,  # reprolint: clock-ok=scheduler diagnostics
-    )
+    return dict(means=means)
 
 
 def _chunk(items: list, size: int) -> list[list]:
@@ -587,31 +482,12 @@ class ParallelRunner:
 
     Parameters
     ----------
-    jobs:
-        Worker processes; None reads the process-wide default
-        (:func:`set_default_execution`), 0 or negative uses every CPU.
-    batch_size:
-        Trace indices per work unit; None splits the trace set into
-        about four units per worker.
-    use_cache:
-        Consult the shared DP table cache (None reads the default).
-    use_batch:
-        Replay static-schedule policies with the vectorized batch
-        engine; None reads the default.  Results are bit-identical
-        either way (``--no-batch`` forces the scalar engine).
-    use_memo:
-        Consult the DPNextFailure replan memo; None reads the default
-        (``--no-memo`` disables).  Bit-identical either way.
-    use_shm:
-        Publish traces/ensembles to workers through shared memory; None
-        reads the default.  Only engaged with ``jobs > 1``; falls back
-        to per-task regeneration on any failure.  Bit-identical either
-        way (``--no-shm`` forces regeneration).
-    use_disk_cache:
-        Consult the persistent disk solve tier below the in-memory
-        caches; None reads the default (``--no-disk-cache`` disables).
-        Bit-identical either way — the disk tier only changes which
-        process pays for a solve.
+    execution:
+        The run's :class:`~repro.execution.ExecutionConfig`: worker
+        count (0 or negative = every CPU) and the bit-identical
+        switches.  ``run`` makes it the active config of the calling
+        thread for the run's duration and every work unit carries it
+        into its worker, so the cache tiers see it wherever they run.
     progress:
         Optional callback ``progress(done, total)`` invoked after every
         completed work unit (trace batch, period batch, winner batch).
@@ -629,35 +505,12 @@ class ParallelRunner:
 
     def __init__(
         self,
-        jobs: int | None = None,
-        batch_size: int | None = None,
-        use_cache: bool | None = None,
-        use_batch: bool | None = None,
-        use_memo: bool | None = None,
-        use_shm: bool | None = None,
-        use_disk_cache: bool | None = None,
+        execution: ExecutionConfig = DEFAULT_EXECUTION,
         progress: Callable[[int, int], None] | None = None,
         executor: ProcessPoolExecutor | None = None,
     ):
-        self.jobs = resolve_jobs(jobs)
-        self.batch_size = (
-            batch_size if batch_size is not None else _DEFAULT.batch_size
-        )
-        self.use_cache = (
-            _DEFAULT.use_cache if use_cache is None else bool(use_cache)
-        )
-        self.use_batch = (
-            _DEFAULT.use_batch if use_batch is None else bool(use_batch)
-        )
-        self.use_memo = (
-            _DEFAULT.use_memo if use_memo is None else bool(use_memo)
-        )
-        self.use_shm = _DEFAULT.use_shm if use_shm is None else bool(use_shm)
-        self.use_disk_cache = (
-            _DEFAULT.use_disk_cache
-            if use_disk_cache is None
-            else bool(use_disk_cache)
-        )
+        self.execution = execution
+        self.jobs = execution.n_jobs
         self.progress = progress
         self._executor = executor
         self._units_done = 0
@@ -718,23 +571,19 @@ class ParallelRunner:
     ) -> list[list[int]]:
         """Split trace indices into work units.
 
-        An explicit ``batch_size`` wins.  Otherwise the granularity
-        adapts to the estimated per-trace cost: cheap vectorized
-        replays stay chunky (~4 units per worker, little IPC), while
-        expensive adaptive replays split finer — imbalance there costs
-        whole DP solves, and the extra dispatch overhead is noise next
-        to one unit's runtime.  Batching never affects results (traces
-        are stitched back by index).
+        The granularity adapts to the estimated per-trace cost: cheap
+        vectorized replays stay chunky (~4 units per worker, little
+        IPC), while expensive adaptive replays split finer — imbalance
+        there costs whole DP solves, and the extra dispatch overhead is
+        noise next to one unit's runtime.  Batching never affects
+        results (traces are stitched back by index).
         """
-        if self.batch_size is not None:
-            size = max(1, int(self.batch_size))
-        else:
-            units_per_worker = int(
-                min(16, max(4, round(2.0 * math.sqrt(max(per_trace_cost, 1.0)))))
-            )
-            size = max(
-                1, math.ceil(len(indices) / max(1, self.jobs * units_per_worker))
-            )
+        units_per_worker = int(
+            min(16, max(4, round(2.0 * math.sqrt(max(per_trace_cost, 1.0)))))
+        )
+        size = max(
+            1, math.ceil(len(indices) / max(1, self.jobs * units_per_worker))
+        )
         return _chunk(indices, size)
 
     def _scheduler_stats(self) -> dict:
@@ -792,111 +641,45 @@ class ParallelRunner:
         self._units_total = 0
         self._sched_costs = []
         self._sched_seconds = []
-        prior_enabled = get_cache().enabled
-        prior_memo = get_replan_memo().enabled
-        prior_disk = get_disk_cache().enabled
-        configure_cache(enabled=self.use_cache)
-        configure_replan_memo(enabled=self.use_memo)
-        configure_disk_cache(enabled=self.use_disk_cache)
-        try:
-            return self._run(
-                policies,
-                platform,
-                work_time,
-                n_traces,
-                horizon,
-                t0,
-                seed,
-                include_lower_bound,
-                include_period_lb,
-                period_lb_factors,
-                period_lb_traces,
-                max_makespan,
-                start,
-                shared,
-            )
-        finally:
-            configure_cache(enabled=prior_enabled)
-            configure_replan_memo(enabled=prior_memo)
-            configure_disk_cache(enabled=prior_disk)
+        # Parallel runs publish the scenario's traces (and compiled
+        # ensemble) once so workers attach instead of regenerating per
+        # task — built exactly like a sweep group.  Serial runs skip it:
+        # the in-process path touches each trace exactly once.  A
+        # sweep-shared trace set short-circuits both.
+        own = None
+        if (
+            shared is None
+            and self.execution.use_shm
+            and self.jobs > 1
+            and n_traces > 0
+        ):
+            from repro.simulation import sweep
 
-    def _run(
-        self,
-        policies,
-        platform,
-        work_time,
-        n_traces,
-        horizon,
-        t0,
-        seed,
-        include_lower_bound,
-        include_period_lb,
-        period_lb_factors,
-        period_lb_traces,
-        max_makespan,
-        start,
-        shared=None,
-    ):
-        # Publish the scenario's traces (and compiled ensemble) once so
-        # workers attach instead of regenerating per task.  Serial runs
-        # skip it: the in-process path touches each trace exactly once.
-        # A sweep-shared trace set short-circuits both: the group owner
-        # already generated (and, with jobs>1, published) the arrays.
-        publication = None
-        layout = None
-        local = None
-        if shared is not None:
-            layout = shared.layout
-            if self.jobs <= 1:
-                local = shared
-        elif self.use_shm and self.jobs > 1 and n_traces > 0:
-            try:
-                all_traces = [
-                    _job_trace(platform, horizon, seed, i)
-                    for i in range(n_traces)
-                ]
-                ensemble = (
-                    TraceEnsemble(all_traces, platform.recovery, t0)
-                    if self.use_batch
-                    else None
-                )
-                publication = _shm.publish_scenario(
-                    all_traces,
-                    ensemble,
-                    n_units=platform.num_nodes,
-                    downtime=platform.downtime,
-                    horizon=horizon,
-                    recovery=platform.recovery,
-                    t0=t0,
-                )
-                layout = publication.layout
-            except Exception:
-                # no shared memory on this platform / size limits: fall
-                # back to per-task regeneration (bit-identical)
-                publication = None
-                layout = None
-        try:
-            return self._run_phases(
-                policies,
-                platform,
-                work_time,
-                n_traces,
-                horizon,
-                t0,
-                seed,
-                include_lower_bound,
-                include_period_lb,
-                period_lb_factors,
-                period_lb_traces,
-                max_makespan,
-                start,
-                layout,
-                local,
-                shared is not None,
+            own = sweep._build_group(
+                platform, horizon, seed, n_traces, t0, self.execution
             )
+        try:
+            with using_execution(self.execution):
+                return self._run_phases(
+                    policies,
+                    platform,
+                    work_time,
+                    n_traces,
+                    horizon,
+                    t0,
+                    seed,
+                    include_lower_bound,
+                    include_period_lb,
+                    period_lb_factors,
+                    period_lb_traces,
+                    max_makespan,
+                    start,
+                    shared if own is None else own.shared,
+                    from_shared=shared is not None,
+                )
         finally:
-            if publication is not None:
-                publication.close()
+            if own is not None:
+                own.close()
 
     def _run_phases(
         self,
@@ -913,12 +696,11 @@ class ParallelRunner:
         period_lb_traces,
         max_makespan,
         start,
-        layout,
-        local=None,
-        from_shared=False,
+        shared,
+        from_shared,
     ):
-        # Imported here: runner imports this module's config helpers, so
-        # a module-level import would be circular.
+        # Imported here: runner imports this module, so a module-level
+        # import would be circular.
         from repro.simulation.runner import LOWER_BOUND, PERIOD_LB, ScenarioResult
         from repro.simulation.runner import _optexp_period
 
@@ -927,7 +709,7 @@ class ParallelRunner:
         # once (it walks the tier directory) and only when an adaptive
         # policy makes it matter.
         discount = (
-            _disk_discount(self.use_disk_cache)
+            _disk_discount(self.execution.use_disk_cache)
             if any(getattr(p, "n_grid", None) is not None for p in policies)
             else 1.0
         )
@@ -941,7 +723,23 @@ class ParallelRunner:
         # With several workers, each unit ships back the memo entries it
         # added; the parent merges them so later phases fork warm, and
         # the union of delta keys is the deduplicated miss count.
-        collect_delta = self.jobs > 1 and self.use_memo
+        collect_delta = self.jobs > 1 and self.execution.use_memo
+        layout = shared.layout if shared is not None else None
+        # the in-process trace list only serves serial runs; parallel
+        # units read the shm layout (or regenerate)
+        local = shared if shared is not None and self.jobs <= 1 else None
+        unit_kw = dict(
+            platform=platform,
+            work_time=work_time,
+            horizon=horizon,
+            t0=t0,
+            seed=seed,
+            max_makespan=max_makespan,
+            execution=self.execution,
+            collect_memo_delta=collect_delta,
+            layout=layout,
+            local=local,
+        )
         merged_keys: set = set()
 
         def _absorb(res) -> None:
@@ -962,22 +760,10 @@ class ParallelRunner:
         indices = list(range(n_traces))
         tasks = [
             _TraceTask(
-                platform=platform,
-                work_time=work_time,
-                horizon=horizon,
-                t0=t0,
-                seed=seed,
                 indices=batch,
                 policies=policies,
                 include_lower_bound=include_lower_bound,
-                max_makespan=max_makespan,
-                use_cache=self.use_cache,
-                use_batch=self.use_batch,
-                use_memo=self.use_memo,
-                use_disk_cache=self.use_disk_cache,
-                collect_memo_delta=collect_delta,
-                layout=layout,
-                local=local,
+                **unit_kw,
             )
             for batch in self._trace_batches(indices, per_trace_cost)
         ]
@@ -1025,23 +811,7 @@ class ParallelRunner:
                 1, math.ceil(periods.size / max(1, self.jobs * 2))
             )
             period_tasks = [
-                _PeriodTask(
-                    platform=platform,
-                    work_time=work_time,
-                    horizon=horizon,
-                    t0=t0,
-                    seed=seed,
-                    subset_indices=subset,
-                    periods=batch,
-                    max_makespan=max_makespan,
-                    use_cache=self.use_cache,
-                    use_batch=self.use_batch,
-                    use_memo=self.use_memo,
-                    use_disk_cache=self.use_disk_cache,
-                    collect_memo_delta=collect_delta,
-                    layout=layout,
-                    local=local,
-                )
+                _PeriodTask(subset_indices=subset, periods=batch, **unit_kw)
                 for batch in _chunk(list(periods), per_unit)
             ]
             # candidate periods replay vectorized (weight 1 per trace)
@@ -1059,22 +829,10 @@ class ParallelRunner:
 
             winner_tasks = [
                 _TraceTask(
-                    platform=platform,
-                    work_time=work_time,
-                    horizon=horizon,
-                    t0=t0,
-                    seed=seed,
                     indices=batch,
                     policies=[PeriodicPolicy(best_period, name=PERIOD_LB)],
                     include_lower_bound=False,
-                    max_makespan=max_makespan,
-                    use_cache=self.use_cache,
-                    use_batch=self.use_batch,
-                    use_memo=self.use_memo,
-                    use_disk_cache=self.use_disk_cache,
-                    collect_memo_delta=collect_delta,
-                    layout=layout,
-                    local=local,
+                    **unit_kw,
                 )
                 for batch in self._trace_batches(indices)
             ]
@@ -1095,7 +853,7 @@ class ParallelRunner:
         trace_gen_reused = from_shared and (local is not None or layout is not None)
         ensemble_reused = bool(
             trace_gen_reused
-            and self.use_batch
+            and self.execution.use_batch
             and (
                 (local is not None and local.ensemble is not None)
                 or (layout is not None and getattr(layout, "has_ensemble", False))

@@ -10,8 +10,10 @@ Execution is delegated to
 :class:`repro.simulation.parallel.ParallelRunner`: ``jobs=1`` runs the
 work units in process, ``jobs>1`` fans them out over worker processes
 with bit-identical results (trace ``i`` is always generated from
-``SeedSequence([seed, i])``, independent of batching).  Solved DP tables
-are shared through :mod:`repro.core.cache` unless ``use_cache=False``.
+``SeedSequence([seed, i])``, independent of batching).  How the work
+executes — worker count, caches, batch replay, shared memory — is one
+frozen :class:`~repro.execution.ExecutionConfig` passed as
+``execution``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from repro.cluster.models import Platform
 from repro.core.theory import optimal_num_chunks
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.policies.base import Policy
 from repro.simulation.results import SimulationResult
 
@@ -70,7 +73,7 @@ class ScenarioResult:
         all workers (see :mod:`repro.core.cache`).
     memo_hits / memo_misses:
         DPNextFailure replan-memo lookups observed during the run,
-        aggregated over all workers; both zero when no adaptive policy
+        aggregated over all workers; no hits when no adaptive policy
         ran or the memo was disabled (``use_memo=False``).  The sums
         are *per-worker* counters: a signature solved independently by
         N workers contributes N misses.
@@ -175,13 +178,7 @@ def run_scenarios(
     period_lb_factors: list[float] | None = None,
     period_lb_traces: int | None = None,
     max_makespan: float = math.inf,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    batch_size: int | None = None,
-    use_batch: bool | None = None,
-    use_memo: bool | None = None,
-    use_shm: bool | None = None,
-    use_disk_cache: bool | None = None,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
     progress: Callable[[int, int], None] | None = None,
     shared=None,
     executor=None,
@@ -193,22 +190,13 @@ def run_scenarios(
     policies (e.g. Liu on large Weibull platforms) record ``NaN``
     makespans *and* are listed in ``ScenarioResult.infeasible``.
 
-    ``jobs`` selects the execution mode: 1 runs serially in process,
-    ``N > 1`` fans (policy, trace-batch) work units out over ``N``
-    worker processes, 0 or negative uses every CPU, and ``None`` reads
-    the process-wide default
-    (:func:`repro.simulation.parallel.set_default_execution`).  Per-trace
-    results are bit-identical across all modes.  ``use_cache=False``
-    bypasses the shared DP table cache; ``use_batch=False`` forces the
-    scalar engine for policies the vectorized batch replay
-    (:mod:`repro.simulation.batch`) would otherwise handle — results
-    are bit-identical either way.  ``use_memo=False`` bypasses the
-    cross-trace DPNextFailure replan memo and ``use_shm=False`` the
-    shared-memory trace publication (parallel runs then regenerate
-    traces per work unit) — again without changing any result.
-    ``use_disk_cache=False`` bypasses the persistent disk solve tier
-    (:mod:`repro.core.diskcache`) below the in-memory caches — the
-    tier only moves solves between processes, never changes them.
+    ``execution`` selects the execution mode
+    (:class:`~repro.execution.ExecutionConfig`): ``jobs=1`` runs
+    serially in process, ``N > 1`` fans (policy, trace-batch) work
+    units out over ``N`` worker processes, 0 or negative uses every
+    CPU; the ``use_*`` switches turn the DP cache, batch replay, replan
+    memo, shared-memory publication and disk solve tier on or off.
+    Per-trace results are bit-identical across all of them.
     ``progress`` is an optional ``(done, total)`` work-unit callback
     (see :class:`~repro.simulation.parallel.ParallelRunner`).
     ``shared`` hands the runner a pre-built
@@ -220,17 +208,7 @@ def run_scenarios(
     # module-level import would be circular through the package inits.
     from repro.simulation.parallel import ParallelRunner
 
-    runner = ParallelRunner(
-        jobs=jobs,
-        batch_size=batch_size,
-        use_cache=use_cache,
-        use_batch=use_batch,
-        use_memo=use_memo,
-        use_shm=use_shm,
-        use_disk_cache=use_disk_cache,
-        progress=progress,
-        executor=executor,
-    )
+    runner = ParallelRunner(execution, progress=progress, executor=executor)
     return runner.run(
         policies,
         platform,

@@ -32,10 +32,14 @@ Bit-identity: trace ``i`` is a pure function of ``(platform, horizon,
 seed, i)`` (the determinism anchor), and a row subset of the group
 ensemble is replay-equivalent to compiling the subset alone — so a
 sweep's per-point results are bit-identical to N independent
-``run_scenarios`` calls.  ``use_sweep_plan=False`` is the enforced
-escape hatch (reprolint R14): it runs every point as an independent
-scenario, which is both the reference for identity tests and the
-fallback if shared planning ever misbehaves.
+``run_scenarios`` calls.  ``ExecutionConfig.use_sweep_plan=False`` is
+the escape hatch: it runs every point as an independent scenario,
+which is both the reference for identity tests and the fallback if
+shared planning ever misbehaves.
+
+:func:`_build_group` is the one trace-set builder: a parallel
+:class:`~repro.simulation.parallel.ParallelRunner` that owns its
+scenario builds its shared-memory publication with it too.
 """
 
 from __future__ import annotations
@@ -47,14 +51,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
 from repro.simulation import shm as _shm
 from repro.simulation.batch import TraceEnsemble
-from repro.simulation.parallel import (
-    SharedTraces,
-    _job_trace,
-    get_default_execution,
-    resolve_jobs,
-)
+from repro.simulation.parallel import SharedTraces, _job_trace
 from repro.units import MINUTE
 
 __all__ = [
@@ -207,24 +207,21 @@ class _GroupResources:
             self.publication = None
 
 
-def _build_group(spec, jobs: int, use_batch: bool, use_shm: bool) -> _GroupResources:
-    """Generate one group's traces (from its first spec — every member
-    shares the trace signature), compile the ensemble, and publish to
-    shared memory when parallel workers will consume it."""
+def _build_group(
+    platform, horizon: float, seed: int, n_traces: int, t0: float,
+    execution: ExecutionConfig,
+) -> _GroupResources:
+    """Generate one trace set, compile its ensemble, and publish both
+    to shared memory when parallel workers will consume them."""
     build_start = time.perf_counter()  # reprolint: clock-ok=sweep build diagnostics
-    platform = spec.build_platform()
-    horizon = spec.effective_horizon
-    traces = [
-        _job_trace(platform, horizon, spec.seed, i)
-        for i in range(spec.n_traces)
-    ]
-    if use_batch:
-        ensemble = TraceEnsemble(traces, platform.recovery, spec.t0)
+    traces = [_job_trace(platform, horizon, seed, i) for i in range(n_traces)]
+    if execution.use_batch:
+        ensemble = TraceEnsemble(traces, platform.recovery, t0)
     else:
         ensemble = None
     publication = None
     layout = None
-    if use_shm and jobs > 1 and traces:
+    if execution.use_shm and execution.n_jobs > 1 and traces:
         try:
             publication = _shm.publish_scenario(
                 traces,
@@ -233,7 +230,7 @@ def _build_group(spec, jobs: int, use_batch: bool, use_shm: bool) -> _GroupResou
                 downtime=platform.downtime,
                 horizon=horizon,
                 recovery=platform.recovery,
-                t0=spec.t0,
+                t0=t0,
             )
             layout = publication.layout
         except Exception:
@@ -270,15 +267,18 @@ def _start_prefetch(build: Callable[[], _GroupResources]):
     return thread, box
 
 
+def _build_spec_group(spec, execution: ExecutionConfig) -> _GroupResources:
+    """:func:`_build_group` for a group's first spec (every member
+    shares the trace signature)."""
+    return _build_group(
+        spec.build_platform(), spec.effective_horizon, spec.seed,
+        spec.n_traces, spec.t0, execution,
+    )
+
+
 def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (trace i = f(platform, horizon, spec.seed, i))
     specs: Sequence,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    use_batch: bool | None = None,
-    use_memo: bool | None = None,
-    use_shm: bool | None = None,
-    use_disk_cache: bool | None = None,
-    use_sweep_plan: bool = True,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
     progress: Callable[[int, int], None] | None = None,
     on_point_start: Callable[[int], None] | None = None,
     on_point_done: Callable[[int, Any], None] | None = None,
@@ -286,8 +286,8 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
 ) -> SweepResult:
     """Execute a list of :class:`ScenarioSpec` points as one sweep.
 
-    With ``use_sweep_plan`` (default) points are grouped by trace
-    signature and each group replays over one shared trace set /
+    With ``execution.use_sweep_plan`` (default) points are grouped by
+    trace signature and each group replays over one shared trace set /
     ensemble / shm publication, with one process pool serving the whole
     sweep and the next group's traces prefetched in the background.
     With ``use_sweep_plan=False`` every point runs as an independent
@@ -300,7 +300,6 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
     affect results; callback exceptions propagate.
     """
     sweep_start = time.perf_counter()  # reprolint: clock-ok=diagnostic elapsed time
-    # runner knob semantics: None = read the process-wide default
     from repro.simulation.runner import aggregate_counters
 
     specs = list(specs)
@@ -318,12 +317,7 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
         if on_point_start is not None:
             on_point_start(index)
         result = specs[index].run(
-            jobs=jobs,
-            use_cache=use_cache,
-            use_batch=use_batch,
-            use_memo=use_memo,
-            use_shm=use_shm,
-            use_disk_cache=use_disk_cache,
+            execution=execution,
             progress=_point_progress(index),
             shared=shared,
             executor=executor,
@@ -336,7 +330,8 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
             progress(done, len(specs))
         return result
 
-    if not use_sweep_plan:
+    jobs_n = execution.n_jobs
+    if not execution.use_sweep_plan:
         # reference path: N independent scenario runs, exactly what a
         # loop of `repro run` calls would execute
         for index in range(len(specs)):
@@ -347,14 +342,9 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
             group_stats=[],
             counters=aggregate_counters(results),
             elapsed=time.perf_counter() - sweep_start,  # reprolint: clock-ok=diagnostic elapsed time
-            n_jobs=resolve_jobs(jobs),
+            n_jobs=jobs_n,
             sweep_planned=False,
         )
-
-    cfg = get_default_execution()
-    jobs_n = resolve_jobs(jobs)
-    batch_on = cfg.use_batch if use_batch is None else bool(use_batch)
-    shm_on = cfg.use_shm if use_shm is None else bool(use_shm)
 
     group_stats: list[dict] = []
     executor = ProcessPoolExecutor(max_workers=jobs_n) if jobs_n > 1 else None
@@ -362,9 +352,7 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
     try:
         for gi, group in enumerate(plan.groups):
             if pending is None:
-                resources = _build_group(
-                    specs[group.indices[0]], jobs_n, batch_on, shm_on
-                )
+                resources = _build_spec_group(specs[group.indices[0]], execution)
             else:
                 thread, box = pending
                 thread.join()
@@ -376,9 +364,7 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
             if gi + 1 < len(plan.groups):
                 next_spec = specs[plan.groups[gi + 1].indices[0]]
                 pending = _start_prefetch(
-                    lambda spec=next_spec: _build_group(
-                        spec, jobs_n, batch_on, shm_on
-                    )
+                    lambda spec=next_spec: _build_spec_group(spec, execution)
                 )
             shm_bytes = (
                 resources.publication.nbytes

@@ -25,3 +25,12 @@ def _ensemble(values: list, use_shm: bool = True) -> list:
 def sweep(values: list, use_shm: bool = True) -> list:
     # dropped knob: _ensemble accepts use_shm but never receives it
     return _ensemble(values)
+
+
+def run_points(values: list, execution=None) -> list:
+    return list(values)
+
+
+def driver(values: list, execution=None) -> list:
+    # dropped config: run_points accepts execution but never receives it
+    return run_points(values)

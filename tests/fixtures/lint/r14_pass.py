@@ -23,3 +23,11 @@ def _ensemble(values: list, use_shm: bool = True) -> list:
 
 def sweep(values: list, use_shm: bool = True) -> list:
     return _ensemble(values, use_shm=use_shm)
+
+
+def run_points(values: list, execution=None) -> list:
+    return list(values)
+
+
+def driver(values: list, execution=None) -> list:
+    return run_points(values, execution=execution)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.distributions import Exponential, Weibull
+from repro.execution import ExecutionConfig
 from repro.policies.base import (
     PeriodicPolicy,
     Policy,
@@ -383,8 +384,8 @@ class TestRunnerDispatch:
             include_period_lb=True,
             period_lb_traces=3,
         )
-        a = run_scenarios(policies, use_batch=True, **kw)
-        b = run_scenarios(policies, use_batch=False, **kw)
+        a = run_scenarios(policies, execution=ExecutionConfig(use_batch=True), **kw)
+        b = run_scenarios(policies, execution=ExecutionConfig(use_batch=False), **kw)
         assert a.best_period == b.best_period
         assert a.infeasible == b.infeasible
         for name in b.makespans:

@@ -67,6 +67,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize("field,flag", [
+        ("use_cache", "--no-cache"),
+        ("use_batch", "--no-batch"),
+        ("use_memo", "--no-memo"),
+        ("use_shm", "--no-shm"),
+        ("use_disk_cache", "--no-disk-cache"),
+        ("use_sweep_plan", "--no-sweep-plan"),
+    ])
+    def test_execution_flags_build_one_config(self, field, flag):
+        from repro.execution import ExecutionConfig
+
+        args = build_parser().parse_args(["sweep", flag, "--jobs", "3"])
+        cfg = ExecutionConfig.from_args(args)
+        assert getattr(cfg, field) is False and cfg.jobs == 3
+        others = ExecutionConfig(jobs=3, **{field: False})
+        assert cfg == others
+
+    def test_simulate_takes_no_execution_flags(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--no-cache"])
+
 
 class TestEndToEnd:
     def test_plan(self, capsys):
@@ -121,6 +142,25 @@ class TestEndToEnd:
         assert "DPNextFailure" in env["data"]["table"]
         assert "DPNextFailure" in err
 
+    def test_experiment_jobs_reach_the_runner(self, capsys, monkeypatch):
+        """No process-global default carries --jobs any more: the
+        experiment driver must hand the CLI's config to every runner."""
+        import repro.simulation.parallel as parallel
+
+        seen = []
+
+        class SpyRunner(parallel.ParallelRunner):
+            def __init__(self, execution, *args, **kwargs):
+                seen.append(execution)
+                super().__init__(execution, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ParallelRunner", SpyRunner)
+        assert main(["experiment", "table2", "--scale", "smoke",
+                     "--jobs", "2", "--no-cache"]) == 0
+        _envelope(capsys)
+        assert seen
+        assert all(e.jobs == 2 and e.use_cache is False for e in seen)
+
 
 class TestScenarioSubcommands:
     _ARGS = ["--work", "2h", "--mtbf", "4h", "--traces", "2",
@@ -174,6 +214,25 @@ class TestScenarioSubcommands:
             assert "mean_makespan" in entry
             assert "degradation" in entry
         assert "degradation from best" in err
+
+    def test_run_jobs_no_memo_reaches_pool_workers(self, capsys):
+        """The frozen config crosses the process boundary: with the
+        memo off in the workers no replan hits it (every solve counts
+        as a miss) and no memo deltas come back, while the same run
+        with the memo on does hit."""
+        dp = ["--policies", "dpnextfailure", "-p", "8", "--work", "8h",
+              "--mtbf", "2d", "--traces", "4", "--jobs", "2",
+              "--no-disk-cache"]
+        assert main(["run", *dp, "--no-memo"]) == 0
+        off = _envelope(capsys)[0]["data"]["result"]
+        assert off["n_jobs"] == 2
+        assert off["memo_hits"] == 0
+        assert off["memo_unique_misses"] == off["memo_misses"] >= 1
+        assert main(["run", *dp]) == 0
+        on = _envelope(capsys)[0]["data"]["result"]
+        assert on["n_jobs"] == 2
+        assert on["memo_hits"] >= 1
+        assert on["makespans"] == off["makespans"]
 
     def test_benchmark(self, capsys):
         assert main(["benchmark", *self._ARGS]) == 0

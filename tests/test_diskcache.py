@@ -63,9 +63,12 @@ class TestRoundTrip:
         assert stats.hit_rate == pytest.approx(0.5)
 
     def test_disabled_is_a_noop(self, cache):
-        cache.enabled = False
-        assert not cache.store("dp", KEY, _arrays())
-        assert cache.load("dp", KEY) is None
+        from repro.execution import ExecutionConfig, using_execution
+
+        with using_execution(ExecutionConfig(use_disk_cache=False)):
+            assert not cache.enabled
+            assert not cache.store("dp", KEY, _arrays())
+            assert cache.load("dp", KEY) is None
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.stores) == (0, 0, 0)
 

@@ -19,17 +19,16 @@ from repro.core.dp_makespan import dp_makespan
 from repro.core.state import PlatformState
 from repro.distributions import Empirical, Exponential, Gamma, Weibull
 from repro.distributions.minimum import MinOfIID
+from repro.execution import ExecutionConfig, using_execution
 from repro.units import DAY, HOUR
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Each test starts from an empty, enabled global cache."""
+    """Each test starts from an empty global cache."""
     clear_cache()
-    configure_cache(enabled=True)
     yield
     clear_cache()
-    configure_cache(enabled=True)
 
 
 class TestDPTableCache:
@@ -53,10 +52,11 @@ class TestDPTableCache:
         cache.get_or_compute(3, lambda: (_ for _ in ()).throw(AssertionError))
 
     def test_disabled_always_computes(self):
-        cache = DPTableCache(enabled=False)
+        cache = DPTableCache(switch="use_cache")
         calls = []
-        for _ in range(3):
-            cache.get_or_compute("k", lambda: calls.append(1) or len(calls))
+        with using_execution(ExecutionConfig(use_cache=False)):
+            for _ in range(3):
+                cache.get_or_compute("k", lambda: calls.append(1) or len(calls))
         assert len(calls) == 3
         assert cache.hits == 0 and cache.misses == 3
         assert len(cache) == 0
@@ -182,12 +182,11 @@ class TestEscapeHatch:
         dist = Exponential.from_mtbf(DAY)
         kw = dict(work=6 * HOUR, checkpoint=600.0, downtime=60.0,
                   recovery=600.0, dist=dist, u=3600.0)
-        configure_cache(enabled=False)
-        a = cached_dp_makespan(**kw)
-        b = cached_dp_makespan(**kw)
+        with using_execution(ExecutionConfig(use_cache=False)):
+            a = cached_dp_makespan(**kw)
+            b = cached_dp_makespan(**kw)
         assert a is not b  # recomputed every call
         assert cache_stats().hits == 0
-        configure_cache(enabled=True)
         c = cached_dp_makespan(**kw)
         d = cached_dp_makespan(**kw)
         assert d is c
@@ -212,8 +211,7 @@ class TestEscapeHatch:
             horizon=100 * DAY,
             seed=1,
             include_period_lb=False,
-            jobs=1,
-            use_cache=False,
+            execution=ExecutionConfig(use_cache=False),
         )
         assert res.cache_hits == 0
         assert res.cache_misses >= 3  # one uncached solve per trace

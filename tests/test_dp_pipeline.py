@@ -28,6 +28,7 @@ from repro.core.dp_nextfailure import (
 )
 from repro.core.state import PlatformState, SurvivalTable
 from repro.distributions import Empirical, Exponential, Gamma, LogNormal, Weibull
+from repro.execution import ExecutionConfig, using_execution
 from repro.units import DAY, HOUR
 
 DISTRIBUTIONS = [
@@ -41,12 +42,10 @@ DISTRIBUTIONS = [
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    """Each test starts from an empty, enabled replan memo."""
+    """Each test starts from an empty replan memo."""
     clear_replan_memo()
-    configure_replan_memo(enabled=True)
     yield
     clear_replan_memo()
-    configure_replan_memo(enabled=True)
 
 
 class TestBatchedKernels:
@@ -188,7 +187,6 @@ class TestReplanMemo:
         assert stats.hits == 0 and stats.misses == 5
 
     def test_disabled_memo_always_solves(self):
-        configure_replan_memo(enabled=False)
         calls = []
         dist = Exponential(1.0 / DAY)
         ages = np.zeros(2)
@@ -198,8 +196,11 @@ class TestReplanMemo:
             state = PlatformState(ages, dist)
             return dp_next_failure_parallel(2 * HOUR, 600.0, state, 600.0)
 
-        for _ in range(3):
-            cached_replan(2 * HOUR, 600.0, dist, ages, 600.0, 10, 100, True, solve)
+        with using_execution(ExecutionConfig(use_memo=False)):
+            for _ in range(3):
+                cached_replan(
+                    2 * HOUR, 600.0, dist, ages, 600.0, 10, 100, True, solve
+                )
         assert len(calls) == 3
         assert replan_memo_stats().misses == 3
 
@@ -215,7 +216,7 @@ class TestPolicyMemoEquivalence:
     """DPNextFailurePolicy with the memo on/off follows identical
     trajectories (quantization is applied unconditionally)."""
 
-    def _run(self, **policy_kw):
+    def _run(self, use_memo: bool, vectorized: bool = True):
         from repro.cluster.models import ConstantOverhead, Platform
         from repro.policies.dp import DPNextFailurePolicy
         from repro.simulation.runner import run_scenarios
@@ -228,7 +229,7 @@ class TestPolicyMemoEquivalence:
         )
         clear_replan_memo()
         return run_scenarios(
-            [DPNextFailurePolicy(n_grid=16, **policy_kw)],
+            [DPNextFailurePolicy(n_grid=16, vectorized=vectorized)],
             platform,
             2 * HOUR,
             n_traces=4,
@@ -236,7 +237,7 @@ class TestPolicyMemoEquivalence:
             seed=5,
             include_lower_bound=False,
             include_period_lb=False,
-            jobs=1,
+            execution=ExecutionConfig(use_memo=use_memo),
         )
 
     def test_memo_on_off_identical(self):

@@ -888,17 +888,17 @@ def test_baseline_roundtrip_suppresses_then_goes_stale(tmp_path):
     )
 
     report = run_lint([FIXTURES / "r14_fail.py"])
-    assert len(report.diagnostics) == 3
+    assert len(report.diagnostics) == 4
     baseline_file = tmp_path / "baseline.json"
     write_baseline(baseline_file, report.diagnostics)
     baseline = load_baseline(baseline_file)
     surviving, suppressed, stale = apply_baseline(
         report.diagnostics, baseline
     )
-    assert surviving == [] and suppressed == 3 and stale == []
+    assert surviving == [] and suppressed == 4 and stale == []
     # the tree improves: every entry has leftover capacity -> stale
     clean, kept, leftovers = apply_baseline([], baseline)
-    assert clean == [] and kept == 0 and len(leftovers) == 3
+    assert clean == [] and kept == 0 and len(leftovers) == 4
 
 
 def test_baseline_counts_absorb_exactly():
@@ -939,7 +939,7 @@ def test_cli_baseline_update_suppress_stale(capsys, tmp_path, monkeypatch):
     # recorded findings no longer fail the run
     assert main(["lint", str(mod), "--baseline", str(baseline)]) == 0
     env = json.loads(capsys.readouterr().out)
-    assert env["data"]["suppressed"] == 3
+    assert env["data"]["suppressed"] == 4
     assert env["data"]["diagnostics"] == []
     # the tree improves; leftover entries are stale and fail the run
     mod.write_text((FIXTURES / "r14_pass.py").read_text())

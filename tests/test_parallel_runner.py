@@ -9,13 +9,8 @@ import pytest
 from repro.cluster.models import ConstantOverhead, Platform
 from repro.distributions import Exponential, Weibull
 from repro.policies import DPMakespanPolicy, DPNextFailurePolicy, Liu, OptExp, Young
-from repro.simulation.parallel import (
-    ExecutionConfig,
-    ParallelRunner,
-    get_default_execution,
-    resolve_jobs,
-    set_default_execution,
-)
+from repro.execution import ExecutionConfig, resolve_jobs
+from repro.simulation.parallel import ParallelRunner
 from repro.simulation.runner import LOWER_BOUND, PERIOD_LB, run_scenarios
 from repro.units import DAY, HOUR
 
@@ -42,8 +37,8 @@ class TestDeterminism:
         per-trace makespans for every policy including the DP ones."""
         platform = _platform(Weibull.from_mtbf(12 * HOUR, 0.7))
         policies = lambda: [Young(), OptExp(), DPNextFailurePolicy(n_grid=32)]
-        serial = _run(policies(), platform, jobs=1)
-        parallel = _run(policies(), platform, jobs=4)
+        serial = _run(policies(), platform, execution=ExecutionConfig(jobs=1))
+        parallel = _run(policies(), platform, execution=ExecutionConfig(jobs=4))
         assert set(serial.makespans) == set(parallel.makespans)
         for name in serial.makespans:
             assert np.array_equal(
@@ -51,24 +46,19 @@ class TestDeterminism:
             ), name
         assert serial.best_period == parallel.best_period
 
-    def test_batch_size_does_not_change_results(self):
-        platform = _platform(Exponential.from_mtbf(12 * HOUR))
-        a = _run([Young()], platform, jobs=1, batch_size=1)
-        b = _run([Young()], platform, jobs=1, batch_size=4)
-        assert np.array_equal(a.makespans["Young"], b.makespans["Young"])
-
     def test_no_cache_does_not_change_results(self):
         platform = _platform(Weibull.from_mtbf(12 * HOUR, 0.7))
-        a = _run([DPMakespanPolicy(n_grid=48)], platform, jobs=1, use_cache=True)
-        b = _run([DPMakespanPolicy(n_grid=48)], platform, jobs=1, use_cache=False)
+        policies = [DPMakespanPolicy(n_grid=48)]
+        a = _run(policies, platform, execution=ExecutionConfig(use_cache=True))
+        b = _run(policies, platform, execution=ExecutionConfig(use_cache=False))
         assert np.array_equal(
             a.makespans["DPMakespan"], b.makespans["DPMakespan"], equal_nan=True
         )
 
     def test_period_lb_winner_matches_serial(self):
         platform = _platform(Exponential.from_mtbf(12 * HOUR))
-        serial = _run([Young()], platform, jobs=1)
-        parallel = _run([Young()], platform, jobs=3)
+        serial = _run([Young()], platform, execution=ExecutionConfig(jobs=1))
+        parallel = _run([Young()], platform, execution=ExecutionConfig(jobs=3))
         assert serial.best_period == parallel.best_period
         assert np.array_equal(
             serial.makespans[PERIOD_LB], parallel.makespans[PERIOD_LB]
@@ -85,14 +75,14 @@ class TestResultStructure:
 
     def test_details_in_trace_order(self):
         platform = _platform(Exponential.from_mtbf(12 * HOUR))
-        res = _run([Young()], platform, jobs=2)
+        res = _run([Young()], platform, execution=ExecutionConfig(jobs=2))
         dets = res.details["Young"]
         assert len(dets) == 6
         assert [d.makespan for d in dets] == list(res.makespans["Young"])
 
     def test_timing_and_jobs_recorded(self):
         platform = _platform(Exponential.from_mtbf(12 * HOUR))
-        res = _run([Young()], platform, jobs=2)
+        res = _run([Young()], platform, execution=ExecutionConfig(jobs=2))
         assert res.n_jobs == 2
         assert res.elapsed > 0
 
@@ -104,7 +94,6 @@ class TestResultStructure:
         res = _run(
             [DPMakespanPolicy(n_grid=48)],
             platform,
-            jobs=1,
             include_period_lb=False,
         )
         # one DP solve, then one hit per remaining trace
@@ -131,13 +120,15 @@ class TestInfeasibleRecording:
             include_period_lb=False,
             max_makespan=50 * 0.5 * DAY,
         )
-        serial = run_scenarios([Liu(), Young()], platform, jobs=1, **kw)
+        serial = run_scenarios([Liu(), Young()], platform, **kw)
         assert "Liu" in serial.infeasible
         assert serial.infeasible["Liu"] == [0, 1, 2]
         assert np.all(np.isnan(serial.makespans["Liu"]))
         assert "Young" not in serial.infeasible
 
-        parallel = run_scenarios([Liu(), Young()], platform, jobs=2, **kw)
+        parallel = run_scenarios(
+            [Liu(), Young()], platform, execution=ExecutionConfig(jobs=2), **kw
+        )
         assert parallel.infeasible == serial.infeasible
 
     def test_feasible_scenario_has_empty_infeasible(self):
@@ -147,20 +138,6 @@ class TestInfeasibleRecording:
 
 
 class TestExecutionConfig:
-    def test_default_roundtrip(self):
-        original = get_default_execution()
-        try:
-            set_default_execution(jobs=3, use_cache=False)
-            cfg = get_default_execution()
-            assert cfg.jobs == 3 and cfg.use_cache is False
-            runner = ParallelRunner()
-            assert runner.jobs == 3 and runner.use_cache is False
-        finally:
-            set_default_execution(
-                jobs=original.jobs,
-                use_cache=original.use_cache,
-            )
-
     def test_resolve_jobs(self):
         import os
 
@@ -169,36 +146,101 @@ class TestExecutionConfig:
         assert resolve_jobs(0) == (os.cpu_count() or 1)
         assert resolve_jobs(-1) == (os.cpu_count() or 1)
 
-    def test_explicit_args_override_default(self):
-        original = get_default_execution()
-        try:
-            set_default_execution(jobs=4, use_cache=False)
-            runner = ParallelRunner(jobs=1, use_cache=True)
-            assert runner.jobs == 1 and runner.use_cache is True
-        finally:
-            set_default_execution(
-                jobs=original.jobs,
-                use_cache=original.use_cache,
-            )
-
     def test_config_dataclass_defaults(self):
-        cfg = ExecutionConfig()
-        assert cfg.jobs == 1 and cfg.use_cache is True and cfg.batch_size is None
-        assert cfg.use_memo is True and cfg.use_shm is True
+        import dataclasses
 
-    def test_memo_shm_defaults_roundtrip(self):
-        original = get_default_execution()
-        try:
-            set_default_execution(use_memo=False, use_shm=False)
-            runner = ParallelRunner()
-            assert runner.use_memo is False and runner.use_shm is False
-            runner = ParallelRunner(use_memo=True, use_shm=True)
-            assert runner.use_memo is True and runner.use_shm is True
-        finally:
-            set_default_execution(
-                use_memo=original.use_memo,
-                use_shm=original.use_shm,
-            )
+        cfg = ExecutionConfig()
+        assert cfg.jobs == 1 and cfg.use_cache is True
+        assert cfg.use_memo is True and cfg.use_shm is True
+        assert cfg.use_sweep_plan is True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.jobs = 2  # type: ignore[misc]
+
+    def test_runner_takes_one_config(self):
+        runner = ParallelRunner(ExecutionConfig(jobs=3, use_cache=False))
+        assert runner.jobs == 3
+        assert runner.execution.use_cache is False
+        assert ParallelRunner().execution == ExecutionConfig()
+
+    def test_concurrent_runs_keep_their_own_cache_switches(self):
+        """Two threaded runs overlap: one with every cache tier off
+        starts first, a default run starts while it runs, and the
+        cache-off run finishes first.  A process-global on/off flag
+        saved and restored around each run leaves every tier disabled
+        for the rest of the process in this order; the per-thread
+        active config must leave a later default run hitting the memo,
+        the DP cache and the disk tier."""
+        import threading
+
+        from repro.core.cache import (
+            clear_cache,
+            clear_replan_memo,
+            get_cache,
+            get_replan_memo,
+        )
+        from repro.core.diskcache import get_disk_cache
+
+        platform = _platform(Weibull.from_mtbf(12 * HOUR, 0.7))
+        kw = dict(
+            work_time=0.25 * DAY,
+            n_traces=4,
+            horizon=200 * DAY,
+            seed=7,
+            include_lower_bound=False,
+            include_period_lb=False,
+        )
+
+        def policies():
+            return [DPNextFailurePolicy(n_grid=16), DPMakespanPolicy(n_grid=16)]
+
+        off_started = threading.Event()
+        default_started = threading.Event()
+        off_done = threading.Event()
+        errors: list[BaseException] = []
+
+        def off_progress(done, total):
+            if done == 1:
+                off_started.set()
+                assert default_started.wait(60.0)
+
+        def default_progress(done, total):
+            if done == 1:
+                default_started.set()
+                assert off_done.wait(60.0)
+
+        def run(execution, progress):
+            try:
+                ParallelRunner(execution, progress=progress).run(
+                    policies(), platform, **kw
+                )
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        off = ExecutionConfig(use_cache=False, use_memo=False,
+                              use_disk_cache=False)
+        t_off = threading.Thread(target=run, args=(off, off_progress),
+                                 daemon=True)
+        t_default = threading.Thread(
+            target=run, args=(ExecutionConfig(), default_progress),
+            daemon=True,
+        )
+        t_off.start()
+        assert off_started.wait(60.0)
+        t_default.start()
+        t_off.join(60.0)
+        off_done.set()
+        t_default.join(60.0)
+        assert not t_off.is_alive() and not t_default.is_alive()
+        assert errors == []
+
+        tiers = (get_cache(), get_replan_memo(), get_disk_cache())
+        assert all(tier.enabled for tier in tiers)
+        clear_cache()
+        clear_replan_memo()
+        after = run_scenarios(policies(), platform, **kw)
+        assert after.memo_hits >= 1
+        assert after.cache_hits >= 1
+        assert after.disk_hits + after.disk_misses >= 1
 
 
 class TestReplanMemo:
@@ -225,15 +267,17 @@ class TestReplanMemo:
         )
 
     def test_memo_on_off_identical_serial(self):
-        on = self._dp_run(jobs=1, use_memo=True)
-        off = self._dp_run(jobs=1, use_memo=False)
+        on = self._dp_run(execution=ExecutionConfig(use_memo=True))
+        off = self._dp_run(execution=ExecutionConfig(use_memo=False))
         assert np.array_equal(
             on.makespans["DPNextFailure"], off.makespans["DPNextFailure"]
         )
 
     def test_memo_serial_parallel_identical_with_counters(self):
-        serial = self._dp_run(jobs=1, use_memo=True)
-        parallel = self._dp_run(jobs=2, use_memo=True)
+        serial = self._dp_run(execution=ExecutionConfig(use_memo=True))
+        parallel = self._dp_run(
+            execution=ExecutionConfig(jobs=2, use_memo=True)
+        )
         assert np.array_equal(
             serial.makespans["DPNextFailure"],
             parallel.makespans["DPNextFailure"],
@@ -245,7 +289,7 @@ class TestReplanMemo:
         assert parallel.memo_hits + parallel.memo_misses > 0
 
     def test_memo_off_reports_zero_hits(self):
-        res = self._dp_run(jobs=1, use_memo=False)
+        res = self._dp_run(execution=ExecutionConfig(use_memo=False))
         assert res.memo_hits == 0
         # disabled memo still counts solves as misses
         assert res.memo_misses >= 1
@@ -269,9 +313,9 @@ class TestSharedMemory:
         return run_scenarios([Young(), OptExp()], platform, **base)
 
     def test_shm_on_off_identical(self):
-        on = self._run_shm(jobs=2, use_shm=True)
-        off = self._run_shm(jobs=2, use_shm=False)
-        serial = self._run_shm(jobs=1)
+        on = self._run_shm(execution=ExecutionConfig(jobs=2, use_shm=True))
+        off = self._run_shm(execution=ExecutionConfig(jobs=2, use_shm=False))
+        serial = self._run_shm()
         for name in serial.makespans:
             assert np.array_equal(on.makespans[name], serial.makespans[name]), name
             assert np.array_equal(off.makespans[name], serial.makespans[name]), name
@@ -283,8 +327,8 @@ class TestSharedMemory:
             raise OSError("no shared memory here")
 
         monkeypatch.setattr(shm_mod, "publish_scenario", boom)
-        res = self._run_shm(jobs=2, use_shm=True)
-        serial = self._run_shm(jobs=1)
+        res = self._run_shm(execution=ExecutionConfig(jobs=2, use_shm=True))
+        serial = self._run_shm()
         for name in serial.makespans:
             assert np.array_equal(res.makespans[name], serial.makespans[name]), name
 
@@ -298,8 +342,8 @@ class TestSharedMemory:
             raise OSError("attach refused")
 
         monkeypatch.setattr(shm_mod, "attach_scenario", boom)
-        res = self._run_shm(jobs=2, use_shm=True)
-        serial = self._run_shm(jobs=1)
+        res = self._run_shm(execution=ExecutionConfig(jobs=2, use_shm=True))
+        serial = self._run_shm()
         for name in serial.makespans:
             assert np.array_equal(res.makespans[name], serial.makespans[name]), name
 
@@ -419,37 +463,41 @@ class TestDiskCacheTier:
     def test_disk_warm_run_bit_identical(self):
         """Second run with cleared L1 caches is served from disk and
         produces the same makespans bit-for-bit."""
-        cold = self._dp_run(jobs=1)
+        cold = self._dp_run()
         assert cold.disk_misses >= 1  # every solve persisted
-        warm = self._dp_run(jobs=1)  # _dp_run cleared L1 again
+        warm = self._dp_run()  # _dp_run cleared L1 again
         assert np.array_equal(
             cold.makespans["DPNextFailure"], warm.makespans["DPNextFailure"]
         )
         assert warm.disk_hits >= 1
 
     def test_disk_tier_off_bit_identical_and_uncounted(self):
-        on = self._dp_run(jobs=1, use_disk_cache=True)
-        off = self._dp_run(jobs=1, use_disk_cache=False)
+        on = self._dp_run(execution=ExecutionConfig(use_disk_cache=True))
+        off = self._dp_run(execution=ExecutionConfig(use_disk_cache=False))
         assert np.array_equal(
             on.makespans["DPNextFailure"], off.makespans["DPNextFailure"]
         )
         assert off.disk_hits == 0 and off.disk_misses == 0
 
     def test_counters_consistent_serial(self):
-        res = self._dp_run(jobs=1)
+        res = self._dp_run()
         # serial misses are already unique, so the deduplicated count
         # is defined to equal the summed one
         assert res.memo_unique_misses == res.memo_misses
         assert res.disk_evictions == 0
 
     def test_parallel_unique_misses_not_above_summed(self):
-        res = self._dp_run(jobs=2, use_disk_cache=False)
+        res = self._dp_run(
+            execution=ExecutionConfig(jobs=2, use_disk_cache=False)
+        )
         assert 1 <= res.memo_unique_misses <= res.memo_misses
 
     def test_memo_delta_merge_warms_parent(self):
         """Workers ship their memo entries back at unit exit, so a
         later run in the same process forks warm and mostly hits."""
-        first = self._dp_run(jobs=2, use_disk_cache=False)
+        first = self._dp_run(
+            execution=ExecutionConfig(jobs=2, use_disk_cache=False)
+        )
         assert first.memo_misses >= 1
 
         from repro.core.cache import clear_cache
@@ -464,8 +512,7 @@ class TestDiskCacheTier:
             seed=7,
             include_lower_bound=False,
             include_period_lb=False,
-            jobs=2,
-            use_disk_cache=False,
+            execution=ExecutionConfig(jobs=2, use_disk_cache=False),
         )
         assert np.array_equal(
             first.makespans["DPNextFailure"],

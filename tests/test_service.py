@@ -19,8 +19,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.execution import ExecutionConfig
 from repro.service.envelope import dumps, jsonable
-from repro.service.queue import ExecutionOptions, JobQueue
+from repro.service.queue import JobQueue
 from repro.service.serialize import (
     scenario_result_from_dict,
     scenario_result_to_dict,
@@ -107,7 +108,7 @@ class TestScenarioSpec:
     def test_execution_knobs_not_in_signature(self):
         # jobs/use_cache/... never appear in the spec — two submissions
         # differing only in execution mode share one archived result
-        assert not (set(ExecutionOptions.__dataclass_fields__)
+        assert not (set(ExecutionConfig.__dataclass_fields__)
                     & set(ScenarioSpec._FIELD_ORDER))
 
     def test_split_overhead_platform(self):
@@ -293,7 +294,23 @@ class TestJobQueue:
 
     def test_unknown_execution_keys_rejected(self):
         with pytest.raises(ValueError):
-            ExecutionOptions.from_dict({"threads": 4})
+            ExecutionConfig.from_dict({"threads": 4})
+
+    @pytest.mark.parametrize("raw", [
+        {"use_cache": "no"},
+        {"use_memo": 0},
+        {"jobs": "3"},
+        {"jobs": 2.7},
+        {"jobs": True},
+    ])
+    def test_wrong_typed_execution_values_rejected(self, raw):
+        with pytest.raises(ValueError):
+            ExecutionConfig.from_dict(raw)
+
+    def test_execution_round_trips(self):
+        cfg = ExecutionConfig(jobs=3, use_memo=False, use_sweep_plan=False)
+        assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExecutionConfig.from_dict(None) == ExecutionConfig()
 
     def test_status_snapshots_are_taken_under_lock(self, store, monkeypatch):
         """status()/jobs() must serialize against worker-side state
@@ -439,7 +456,9 @@ class TestBatchQueue:
         specs = self._grid()
         q = JobQueue(store=store, workers=1)
         try:
-            batch = q.submit_batch(specs, use_sweep_plan=False)
+            batch = q.submit_batch(
+                specs, ExecutionConfig(use_sweep_plan=False)
+            )
             assert batch.plan["use_sweep_plan"] is False
             assert q.wait_batch(batch.batch_id, timeout=120)
             a = [json.dumps(comparable_result_payload(q.result(j)),
@@ -521,6 +540,17 @@ class TestDaemonEndToEnd:
         assert env["ok"] is False
         assert env["exit_code"] == 2
         assert env["error"]["type"] == "SpecError"
+
+    def test_wrong_typed_execution_switch_is_http_400(self, client):
+        """A string switch used to be accepted and run with the cache
+        on (``bool("no")``); the strict parser rejects it cleanly."""
+        env = client.submit(ScenarioSpec(**TINY).to_dict(),
+                            execution={"use_cache": "no"})
+        assert env["ok"] is False
+        assert env["exit_code"] == 2
+        assert env["error"]["type"] == "ValueError"
+        assert "execution.use_cache" in env["error"]["message"]
+        assert client.jobs()["data"]["jobs"] == []
 
     def test_unknown_job_is_http_404(self, client):
         env = client.status("job-999999")
@@ -629,6 +659,23 @@ class TestDaemonBatches:
             "grid": {"seed": [0]},
         })
         assert env["ok"] is False
+
+    def test_top_level_use_sweep_plan_is_http_400(self, client):
+        env = client.request("POST", "/v1/batches", {
+            "specs": [dict(TINY)], "use_sweep_plan": False,
+        })
+        assert env["ok"] is False
+        assert env["exit_code"] == 2
+        assert "execution.use_sweep_plan" in env["error"]["message"]
+
+    def test_use_sweep_plan_inside_execution(self, client):
+        env = client.submit_batch(
+            specs=[dict(TINY)], execution={"use_sweep_plan": False}
+        )
+        assert env["ok"] is True
+        assert env["data"]["plan"]["use_sweep_plan"] is False
+        final = client.wait_batch(env["data"]["batch_id"], timeout=120)
+        assert final["data"]["state"] == "done"
 
     def test_unknown_batch_is_http_404(self, client):
         env = client.batch_status("batch-999999")

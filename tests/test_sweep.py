@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.execution import ExecutionConfig
 from repro.service.serialize import (
     comparable_result_payload,
     scenario_result_to_dict,
@@ -146,7 +147,7 @@ class TestRunSweepIdentity:
     @pytest.mark.parametrize(
         "knobs",
         [
-            {},  # process-wide defaults
+            {},  # default config
             {"use_memo": False, "use_disk_cache": False},
             {"use_batch": False, "use_cache": False},
         ],
@@ -154,8 +155,12 @@ class TestRunSweepIdentity:
     )
     def test_12_point_grid_bit_identical_to_independent_runs(self, knobs):
         specs = _grid_12()
-        reference = run_sweep(specs, jobs=1, use_sweep_plan=False, **knobs)
-        sweep = run_sweep(specs, jobs=1, use_sweep_plan=True, **knobs)
+        reference = run_sweep(
+            specs, ExecutionConfig(jobs=1, use_sweep_plan=False, **knobs)
+        )
+        sweep = run_sweep(
+            specs, ExecutionConfig(jobs=1, use_sweep_plan=True, **knobs)
+        )
         assert reference.sweep_planned is False
         assert sweep.sweep_planned is True
         assert [_payload_json(r) for r in sweep.results] == \
@@ -164,8 +169,8 @@ class TestRunSweepIdentity:
     @pytest.mark.slow
     def test_parallel_sweep_bit_identical_with_shm(self):
         specs = _grid_12()
-        reference = run_sweep(specs, jobs=1, use_sweep_plan=False)
-        sweep = run_sweep(specs, jobs=2, use_shm=True, use_sweep_plan=True)
+        reference = run_sweep(specs, ExecutionConfig(use_sweep_plan=False))
+        sweep = run_sweep(specs, ExecutionConfig(jobs=2, use_shm=True))
         assert sweep.n_jobs == 2
         assert [_payload_json(r) for r in sweep.results] == \
             [_payload_json(r) for r in reference.results]
@@ -173,7 +178,7 @@ class TestRunSweepIdentity:
 
 class TestRunSweepReporting:
     def test_group_stats_record_reuse_and_prefetch(self):
-        sweep = run_sweep(_grid_12(), jobs=1)
+        sweep = run_sweep(_grid_12(), ExecutionConfig(jobs=1))
         assert len(sweep.group_stats) == 2
         for stats in sweep.group_stats:
             assert stats["n_points"] == 6
@@ -186,21 +191,21 @@ class TestRunSweepReporting:
         assert sweep.group_stats[1]["prefetched"] is True
 
     def test_reference_path_reuses_nothing(self):
-        sweep = run_sweep(_grid_12()[:2], jobs=1, use_sweep_plan=False)
+        sweep = run_sweep(_grid_12()[:2], ExecutionConfig(use_sweep_plan=False))
         assert sweep.group_stats == []
         for result in sweep.results:
             assert result.trace_gen_reused is False
             assert result.ensemble_reused is False
 
     def test_counters_roll_up_over_all_points(self):
-        sweep = run_sweep(_grid_12(), jobs=1)
+        sweep = run_sweep(_grid_12(), ExecutionConfig(jobs=1))
         assert sweep.counters["scenarios"] == 12
         assert sweep.counters["elapsed"] > 0.0
         for key in ("cache_hits", "memo_hits", "disk_hits"):
             assert key in sweep.counters
 
     def test_scheduler_summary_shape(self):
-        summary = run_sweep(_grid_12()[:2], jobs=1).scheduler_summary()
+        summary = run_sweep(_grid_12()[:2]).scheduler_summary()
         assert summary["units"] > 0
         assert summary["est_cost_max"] >= summary["est_cost_mean"] > 0.0
         assert summary["est_imbalance"] >= 1.0
@@ -215,7 +220,6 @@ class TestRunSweepReporting:
 
         sweep = run_sweep(
             specs,
-            jobs=1,
             on_point_start=started.append,
             on_point_done=lambda i, result: finished.append(i),
             progress=lambda done, total: ticks.append((done, total)),
