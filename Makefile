@@ -58,9 +58,10 @@ bench-engine:
 bench-dp:
 	$(PYTHON) benchmarks/bench_dp_pipeline.py --smoke
 
-# Persistent solve-cache benchmark at smoke scale: verifies cold,
-# disk-warm (second process) and shared-memo (--jobs 2) runs are
-# bit-identical (full scale: python benchmarks/bench_solvecache.py).
+# Persistent solve-cache benchmark at smoke scale: verifies cold (with
+# and without the disk tier), disk-warm (second process) and shared-memo
+# (--jobs 2) runs are bit-identical (full scale: python
+# benchmarks/bench_solvecache.py).
 bench-solvecache:
 	$(PYTHON) benchmarks/bench_solvecache.py --smoke
 

@@ -58,6 +58,13 @@ def host_metadata() -> dict:
         "machine": _platform.machine(),
         "system": f"{_platform.system()} {_platform.release()}",
         "cpu_count": os.cpu_count(),
+        # CPUs this process may run on (a container can see more than it
+        # is allowed to use); a parallel arm needs affinity >= jobs
+        "cpu_affinity": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        ),
         "python": _platform.python_version(),
         "numpy": numpy.__version__,
     }

@@ -1,6 +1,6 @@
 """Persistent solve-cache tier benchmark: cold / disk-warm / shared-memo.
 
-Three arms run the BENCH_dp adaptive-policy scenario (Weibull, DPNext-
+Four arms run the BENCH_dp adaptive-policy scenario (Weibull, DPNext-
 Failure) against a private ``.repro-service/`` root, each in its **own
 child process** so "warm" means what it means in practice — a fresh
 process (empty L1 caches) finding the previous process's solves on
@@ -8,9 +8,15 @@ disk:
 
 1. **cold** — first process, empty tier: every solve is paid for and
    persisted (``disk_misses`` = distinct solves, ``disk_hits`` = 0).
-2. **disk-warm** — second process, same tier: the run should be mostly
-   ``disk_hits`` and is gated at >= 5x faster than cold (full mode).
-3. **shared-memo** — third process, fresh tier, ``--jobs 2``, the same
+2. **cold, disk off** — the same run with ``use_disk_cache=False``:
+   the fastest way to the same answer without the tier.  Persisting
+   must not make a cold run slower than not having the tier: full mode
+   gates cold <= 1.1x cold-disk-off, on the medians of five runs of
+   each arm, alternating which runs first.
+3. **disk-warm** — second process over the cold arm's tier: the run
+   should be mostly ``disk_hits`` and is gated at >= 5x faster than the
+   faster of the two cold arms (full mode).
+4. **shared-memo** — another process, fresh tier, ``--jobs 2``, the same
    scenario run **twice**: pass 1's workers ship their replan-memo
    entries back to the parent at unit exit, so pass 2's workers fork
    from a fully warmed memo.  The gate is pass 2's memo hit rate —
@@ -33,6 +39,7 @@ import argparse
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -131,23 +138,35 @@ def bench_solvecache(smoke: bool) -> dict:
         config = {"p": 64, "n_traces": 100, "n_grid": 64,
                   "work": 8 * HOUR, "seed": 17, "jobs": 1}
     jobs = max(2, min(4, os.cpu_count() or 1))
+    # the two cold arms differ by ~10%, within one run's noise on a
+    # shared host: compare medians of alternating repeats
+    repeats = 1 if smoke else 5
 
     with tempfile.TemporaryDirectory(prefix="bench-solvecache-") as tmp:
-        tier_a = pathlib.Path(tmp) / "tier-a"  # cold + disk-warm
-        tier_b = pathlib.Path(tmp) / "tier-b"  # shared-memo (unused)
-        cold = _run_child(config, tier_a)
-        warm = _run_child(config, tier_a)
+        root = pathlib.Path(tmp)
+        colds, colds_off = [], []
+        for i in range(repeats):
+            for disk in (True, False) if i % 2 == 0 else (False, True):
+                if disk:  # each cold run starts from an empty tier
+                    colds.append(_run_child(config, root / f"cold-{i}"))
+                else:  # the tier is off: its directory stays empty
+                    colds_off.append(_run_child(
+                        {**config, "use_disk_cache": False}, root / "off"))
+        warm = _run_child(config, root / f"cold-{repeats - 1}")
         # disk tier off so pass 2's hits are purely the memo deltas the
         # pass-1 workers shipped back to the parent
         shared = _run_child(
             {**config, "jobs": jobs, "repeat": 2, "use_disk_cache": False},
-            tier_b,
+            root / "off",
         )
 
-    identical = bool(
-        np.array_equal(cold["makespans"], warm["makespans"])
-        and np.array_equal(cold["makespans"], shared["makespans"])
+    cold = colds[0]
+    identical = all(
+        np.array_equal(cold["makespans"], arm["makespans"])
+        for arm in (*colds, *colds_off, warm, shared)
     )
+    cold_s = statistics.median(arm["seconds"] for arm in colds)
+    cold_nodisk_s = statistics.median(arm["seconds"] for arm in colds_off)
     memo_lookups = shared["memo_hits"] + shared["memo_misses"]
     return {
         "distribution": f"Weibull(k=0.7, MTBF=10d) x {config['p']}",
@@ -156,9 +175,15 @@ def bench_solvecache(smoke: bool) -> dict:
         "n_grid": config["n_grid"],
         "work_h": config["work"] / HOUR,
         "jobs": jobs,
-        "cold_s": cold["seconds"],
+        "cold_repeats": repeats,
+        "cold_s": cold_s,
+        "cold_nodisk_s": cold_nodisk_s,
+        "cold_overhead": cold_s / max(cold_nodisk_s, 1e-12),
         "warm_s": warm["seconds"],
-        "warm_speedup": cold["seconds"] / max(warm["seconds"], 1e-12),
+        # against the fastest cold run that gives the same answer
+        "warm_speedup": (
+            min(cold_s, cold_nodisk_s) / max(warm["seconds"], 1e-12)
+        ),
         "cold_disk": {k: cold[k] for k in
                       ("disk_hits", "disk_misses", "disk_evictions")},
         "warm_disk": {k: warm[k] for k in
@@ -197,13 +222,16 @@ def main(argv: list[str] | None = None) -> int:
         "persistent solve-cache tier (DPNextFailure)",
         f"  scenario: {res['distribution']}, W={res['work_h']:.0f}h, "
         f"n_grid={res['n_grid']}, {res['n_traces']} traces",
+        f"  cold runs (median of {res['cold_repeats']}, alternating)",
         f"  cold  (1st process, empty tier)   {res['cold_s']:9.1f} s  "
         f"disk {res['cold_disk']['disk_hits']}h/"
         f"{res['cold_disk']['disk_misses']}m",
+        f"  cold  (disk tier off)             {res['cold_nodisk_s']:9.1f} s",
+        f"  cold with / without disk tier     {res['cold_overhead']:9.2f} x",
         f"  warm  (2nd process, same tier)    {res['warm_s']:9.1f} s  "
         f"disk {res['warm_disk']['disk_hits']}h/"
         f"{res['warm_disk']['disk_misses']}m",
-        f"  speedup (warm vs cold)            {res['warm_speedup']:9.1f} x",
+        f"  speedup (warm vs fastest cold)    {res['warm_speedup']:9.1f} x",
         f"  shared ({res['jobs']} workers, no disk)    "
         f"pass 1 {res['shared_pass1_s']:.1f} s, "
         f"pass 2 {res['shared_pass2_s']:.1f} s",
@@ -228,6 +256,12 @@ def main(argv: list[str] | None = None) -> int:
             "solvecache": res,
         })
         print(f"wrote {out}")
+        if res["cold_overhead"] > 1.1:
+            print(
+                f"FAIL: cold run with the disk tier is {res['cold_overhead']:.2f}x "
+                "the disk-off cold run, above the documented 1.1x ceiling"
+            )
+            return 1
         if res["warm_speedup"] < 5.0:
             print(
                 f"FAIL: disk-warm speedup {res['warm_speedup']:.1f}x below "

@@ -36,12 +36,32 @@ Durability discipline (the same R10 contract the result store obeys):
   entry automatically; old-version directories are pruned on the next
   write.
 
-The tier is bounded by a byte budget (LRU by file *mtime*, which
-``load()`` bumps explicitly on every hit so recency survives
-``noatime``-mounted filesystems; default 256 MiB) and observable: per-process hit/miss/store/evict counters feed
-``ScenarioResult.disk_hits`` / ``disk_misses`` / ``disk_evictions``,
-and advisory lifetime counters are persisted next to the entries for
-``repro store``.  ``ExecutionConfig.use_disk_cache=False``
+The tier is bounded by a byte budget (default 256 MiB), evicting
+least-recently-used entries first.  Recency is file *mtime*, which
+``load()`` bumps explicitly on every hit so it survives
+``noatime``-mounted filesystems.  Keeping the budget costs a store
+amortized O(1) file-system operations:
+
+- each process keeps an index ``path -> (mtime, size)`` and a running
+  byte total of the tier, seeded by one walk of the entry directory
+  the first time it stores there (again only if the directory moves,
+  e.g. ``configure_disk_cache(root=...)``); a store stats only the
+  file it wrote and adds it to the total;
+- only a store that takes the total over ``max_bytes`` rescans — which
+  picks up other processes' writes and evictions and ``load()``'s
+  recency bumps — and then evicts LRU-first down to a low-water mark
+  of 90% of the budget, so a tier held at its budget rescans about
+  once per tenth of a budget written, not on every store;
+- a process does not see other processes' writes until its next
+  rescan, so the tier can run over budget by what the other writers
+  added since; the budget is enforced again at the next store of any
+  process that takes its own total over it.
+
+Per-process hit/miss/store/evict counters feed
+``ScenarioResult.disk_hits`` / ``disk_misses`` / ``disk_evictions``;
+advisory lifetime counters are persisted next to the entries for
+``repro store``, flushed once per work unit (``flush_counters``), not
+per store.  ``ExecutionConfig.use_disk_cache=False``
 (``--no-disk-cache`` / ``REPRO_BENCH_NO_DISKCACHE``), read from the
 active execution config, bypasses the tier entirely (the slow path is
 simply the cold solve).
@@ -88,7 +108,13 @@ _ENTRY_FORMAT = 1
 #: Default LRU byte budget for the whole tier (all kinds together).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
+#: Eviction frees entries down to this fraction of ``max_bytes``.  The
+#: headroom it leaves is what keeps the rescans before eviction rare: a
+#: tier evicted only down to its budget would rescan on every store.
+_LOW_WATER = 0.9
+
 _COUNTERS_NAME = "counters.json"
+_COUNTER_NAMES = ("hits", "misses", "stores", "evictions")
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +187,91 @@ class DiskCacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+class _EntryIndex:
+    """One process's view of a tier directory: ``path -> (mtime, size)``
+    for every entry, and their byte total.
+
+    Seeded by one walk of ``root``; exact for the writes recorded with
+    :meth:`add`, blind to other processes' writes and evictions and to
+    ``load()``'s recency bumps until the next :meth:`rescan`.  Not
+    thread-safe: :class:`DiskSolveCache` serializes access under its
+    lock.
+    """
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.entries: dict[Path, tuple[float, int]] = {}
+        self.total = 0
+        self.rescan()
+
+    def rescan(self) -> None:
+        """Rebuild the index from one walk of ``root``.  In-flight
+        temp files are not entries (evicting one would fail its
+        writer's store); an entry removed mid-walk by another process
+        is skipped; a walk cut short leaves a partial index, which
+        only brings the next rescan forward."""
+        entries: dict[Path, tuple[float, int]] = {}
+        with contextlib.suppress(OSError):
+            for path in self.root.rglob("*.npz"):
+                if path.name.startswith(".tmp-"):
+                    continue
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue
+                entries[path] = (stat.st_mtime, stat.st_size)
+        self.entries = entries
+        self.total = sum(size for _, size in entries.values())
+
+    def add(self, path: Path) -> None:
+        """Record an entry this process just wrote (or rewrote), unless
+        it has been evicted since."""
+        try:
+            stat = path.stat()
+        except OSError:
+            return
+        previous = self.entries.get(path)
+        self.total += stat.st_size - (previous[1] if previous is not None else 0)
+        self.entries[path] = (stat.st_mtime, stat.st_size)
+
+    def evict(self, max_bytes: int) -> int:
+        """Enforce the byte budget; returns the number of entries
+        removed.  A no-op while the indexed total is within
+        ``max_bytes``.  Otherwise rescan, and if the tier really is
+        over budget, drop least-recently-used entries down toward the
+        low-water mark ``_LOW_WATER * max_bytes``: always back within
+        budget, and once within it, no entry whose removal would take
+        the tier below the mark.
+
+        Recency is ``st_mtime``, not ``st_atime``: ``load()`` bumps
+        mtime explicitly on every hit, whereas atime is frozen (or
+        update-limited) on ``noatime``/``relatime`` filesystems and
+        would make eviction order effectively write-time FIFO there."""
+        if self.total <= max_bytes:
+            return 0
+        self.rescan()
+        if self.total <= max_bytes:
+            return 0
+        low_water = max_bytes * _LOW_WATER
+        evicted = 0
+        for _, size, path in sorted(
+            (mtime, size, path) for path, (mtime, size) in self.entries.items()
+        ):
+            if self.total <= max_bytes and self.total - size < low_water:
+                break
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                pass  # another process evicted it first
+            except OSError:
+                continue
+            else:
+                evicted += 1
+            del self.entries[path]
+            self.total -= size
+        return evicted
+
+
 class DiskSolveCache:
     """Disk-backed, content-addressed solve store (the L2 tier).
 
@@ -187,10 +298,10 @@ class DiskSolveCache:
         self.misses = 0
         self.stores = 0
         self.evictions = 0
-        self._flushed: dict[str, int] = {
-            "hits": 0, "misses": 0, "stores": 0, "evictions": 0
-        }
+        self._flushed = dict.fromkeys(_COUNTER_NAMES, 0)
         self._pruned = False
+        # seeded by the first store into a root (see store())
+        self._index: _EntryIndex | None = None  # reprolint: guarded-by=_lock
 
     @property
     def enabled(self) -> bool:
@@ -214,8 +325,9 @@ class DiskSolveCache:
 
         return self.tier_root / store_version()
 
-    def _entry_path(self, kind: str, digest: str) -> Path:
-        return self.root / kind / digest[:2] / f"{digest}.npz"
+    def _entry_path(self, kind: str, digest: str, root: Path | None = None) -> Path:
+        root = self.root if root is None else root
+        return root / kind / digest[:2] / f"{digest}.npz"
 
     # -- read ----------------------------------------------------------
 
@@ -281,7 +393,8 @@ class DiskSolveCache:
             return False
         digest = key_digest(kind, key)
         meta = {"format": _ENTRY_FORMAT, "kind": kind, "digest": digest}
-        path = self._entry_path(kind, digest)
+        root = self.root
+        path = self._entry_path(kind, digest, root)
         tmp = path.parent / f".tmp-{os.getpid()}-{digest}.npz"
         try:
             self._prune_stale_versions()
@@ -301,8 +414,10 @@ class DiskSolveCache:
             return False
         with self._lock:
             self.stores += 1
-        self._evict_over_budget()
-        self._flush_counters()
+            if self._index is None or self._index.root != root:
+                self._index = _EntryIndex(root)
+            self._index.add(path)
+            self.evictions += self._index.evict(self.max_bytes)
         return True
 
     def _prune_stale_versions(self) -> None:
@@ -322,36 +437,6 @@ class DiskSolveCache:
             if path.is_dir() and path.name != current:
                 shutil.rmtree(path, ignore_errors=True)
 
-    def _evict_over_budget(self) -> None:
-        """Drop least-recently-used entries until under ``max_bytes``.
-
-        Recency is ``st_mtime``, not ``st_atime``: ``load()`` bumps
-        mtime explicitly on every hit, whereas atime is frozen (or
-        update-limited) on ``noatime``/``relatime`` filesystems and
-        would make eviction order effectively write-time FIFO there."""
-        try:
-            entries = [
-                (stat.st_mtime, stat.st_size, path)
-                for path in self.root.rglob("*.npz")
-                if (stat := path.stat())
-            ]
-        except OSError:
-            return
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return
-        evicted = 0
-        for _, size, path in sorted(entries):
-            if total <= self.max_bytes:
-                break
-            with contextlib.suppress(OSError):
-                path.unlink()
-                total -= size
-                evicted += 1
-        if evicted:
-            with self._lock:
-                self.evictions += evicted
-
     # -- observability -------------------------------------------------
 
     def stats(self) -> DiskCacheStats:
@@ -365,21 +450,13 @@ class DiskSolveCache:
         """Zero the per-process counters (benchmark arm boundaries)."""
         with self._lock:
             self.hits = self.misses = self.stores = self.evictions = 0
-            self._flushed = {
-                "hits": 0, "misses": 0, "stores": 0, "evictions": 0
-            }
+            self._flushed = dict.fromkeys(_COUNTER_NAMES, 0)
 
     def flush_counters(self) -> None:
-        """Persist this process's counter deltas into the advisory
-        lifetime counters.  ``store()`` flushes on its own, but a
-        hit-only process (the common warm case) would otherwise never
-        write its hits; work units call this at exit.  No-op when
-        there is nothing new to fold in."""
-        self._flush_counters()
-
-    def _flush_counters(self) -> None:
         """Fold this process's counter deltas into the advisory
-        lifetime counters persisted next to the entries.
+        lifetime counters persisted next to the entries.  Work units
+        call this once at exit, and ``usage()`` before reporting;
+        ``store()`` does not.  No-op when there is nothing new.
 
         Best-effort read-modify-replace: concurrent processes may lose
         each other's increments (under-count, never over-count), the
@@ -414,54 +491,56 @@ class DiskSolveCache:
             with contextlib.suppress(OSError):
                 tmp.unlink()
 
-    def usage(self) -> dict[str, Any]:
-        """On-disk shape of the tier: entries and bytes, per kind and
-        total, plus the persisted lifetime counters."""
-        from repro.service.store import store_version
-
-        self._flush_counters()
-        kinds: dict[str, dict[str, int]] = {}
-        total_entries = 0
-        total_bytes = 0
-        if self.root.is_dir():
-            for path in self.root.rglob("*.npz"):
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    continue
-                kind = path.parent.parent.name
-                bucket = kinds.setdefault(kind, {"entries": 0, "bytes": 0})
-                bucket["entries"] += 1
-                bucket["bytes"] += size
-                total_entries += 1
-                total_bytes += size
+    def lifetime(self) -> dict[str, Any]:
+        """The persisted lifetime counters and their hit rate.  Reads
+        only ``counters.json``: counts this process has not flushed
+        yet are not included."""
         try:
             counters = json.loads((self.root / _COUNTERS_NAME).read_text())
         except (OSError, ValueError):
             counters = {}
-        lifetime = {
-            name: int(counters.get(name, 0))
-            for name in ("hits", "misses", "stores", "evictions")
-        }
+        lifetime = {name: int(counters.get(name, 0)) for name in _COUNTER_NAMES}
         lookups = lifetime["hits"] + lifetime["misses"]
         return {
-            "root": str(self.root),
+            **lifetime,
+            "hit_rate": lifetime["hits"] / lookups if lookups else 0.0,
+        }
+
+    def usage(self) -> dict[str, Any]:
+        """On-disk shape of the tier: entries and bytes, per kind and
+        total, plus the lifetime counters (flushed first).  Walks every
+        entry, and refreshes this process's index with what it finds."""
+        from repro.service.store import store_version
+
+        self.flush_counters()
+        root = self.root
+        with self._lock:
+            self._index = _EntryIndex(root)
+            entries = list(self._index.entries.items())
+        kinds: dict[str, dict[str, int]] = {}
+        for path, (_, size) in entries:
+            bucket = kinds.setdefault(
+                path.parent.parent.name, {"entries": 0, "bytes": 0}
+            )
+            bucket["entries"] += 1
+            bucket["bytes"] += size
+        return {
+            "root": str(root),
             "store_version": store_version(),
             "enabled": self.enabled,
-            "entries": total_entries,
-            "bytes": total_bytes,
+            "entries": len(entries),
+            "bytes": sum(size for _, (_, size) in entries),
             "max_bytes": self.max_bytes,
             "kinds": kinds,
-            "lifetime": {
-                **lifetime,
-                "hit_rate": lifetime["hits"] / lookups if lookups else 0.0,
-            },
+            "lifetime": self.lifetime(),
         }
 
     # -- maintenance ---------------------------------------------------
 
     def wipe(self) -> int:
         """Delete every entry (all versions); returns entries removed."""
+        with self._lock:
+            self._index = None  # the next store reseeds
         removed = 0
         root = self.tier_root
         if not root.is_dir():
@@ -578,19 +657,21 @@ def load_replan(key: tuple):
             chunks=arrays["chunks"],
             expected_work=float(arrays["expected_work"]),
             u=float(arrays["u"]),
-            _choice=arrays.get("choice"),
         )
     except KeyError:
         return None
 
 
 def store_replan(key: tuple, result) -> bool:
-    """Persist a :class:`DPNextFailureResult` replan."""
-    arrays = {
-        "chunks": np.asarray(result.chunks, dtype=float),
-        "expected_work": np.float64(result.expected_work),
-        "u": np.float64(result.u),
-    }
-    if result._choice is not None:
-        arrays["choice"] = result._choice
-    return _DISK.store("replan", key, arrays)
+    """Persist a :class:`DPNextFailureResult` replan: the schedule and
+    its value.  The DP choice table the solver attaches is left out —
+    nothing reads it back, and it is ~99% of a replan's bytes."""
+    return _DISK.store(
+        "replan",
+        key,
+        {
+            "chunks": np.asarray(result.chunks, dtype=float),
+            "expected_work": np.float64(result.expected_work),
+            "u": np.float64(result.u),
+        },
+    )

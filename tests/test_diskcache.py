@@ -282,3 +282,183 @@ class TestSolverCodecs:
             "dp_makespan", key, {"expected_makespan": np.float64(1.0)}
         )
         assert load_dp_makespan(key) is None
+
+
+def _tiny(i: int) -> dict:
+    """A payload whose stored size does not depend on ``i``."""
+    return {"x": np.float64(i)}
+
+
+def _tier_bytes(cache: DiskSolveCache) -> int:
+    return sum(p.stat().st_size for p in cache.root.rglob("*.npz"))
+
+
+@pytest.fixture
+def stat_calls(monkeypatch):
+    """Count ``os.stat`` calls (``Path.stat``, ``is_dir`` and ``exists``
+    all go through it)."""
+    import os
+
+    calls = [0]
+    real_stat = os.stat
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real_stat(*args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counted)
+    return calls
+
+
+class TestStoreComplexity:
+    """A store costs amortized O(1) file-system operations, whatever
+    the number of entries already in the tier.  Counted, not timed."""
+
+    N_STORES = 300
+
+    def test_stats_per_store_into_empty_tier(self, cache, stat_calls):
+        for i in range(self.N_STORES):
+            assert cache.store("dp", (i,), _tiny(i))
+        # each store stats the file it wrote; walking the tier per
+        # store would cost ~N_STORES / 2 per store here
+        assert self.N_STORES <= stat_calls[0] <= 3 * self.N_STORES
+        assert cache.stats().evictions == 0
+
+    @pytest.mark.parametrize("budget_entries", [20, 80])
+    def test_stats_per_store_at_budget(self, tmp_path, stat_calls, budget_entries):
+        """A tier held at its budget rescans (one stat per entry) only
+        after the ~10% of the budget the low-water eviction freed has
+        been written again, so the per-store cost does not grow with
+        the number of entries the budget holds."""
+        cache = DiskSolveCache(root=tmp_path)
+        cache.store("dp", ("probe",), _tiny(0))
+        size = cache._entry_path("dp", key_digest("dp", ("probe",))).stat().st_size
+        cache.max_bytes = budget_entries * size
+        stat_calls[0] = 0
+        for i in range(self.N_STORES):
+            assert cache.store("dp", (i,), _tiny(i))
+        assert stat_calls[0] <= 16 * self.N_STORES
+        assert cache.stats().evictions > 0
+        assert _tier_bytes(cache) <= cache.max_bytes
+
+    def test_lifetime_reads_no_entries(self, stat_calls):
+        """The runner's cost model reads the lifetime hit rate of the
+        global tier on every construction; that must not walk it."""
+        from repro.core.diskcache import get_disk_cache
+        from repro.simulation.parallel import _disk_discount
+
+        disk = get_disk_cache()
+        disk.reset_stats()
+        for i in range(50):
+            disk.store("dp", (i,), _tiny(i))
+        disk.load("dp", (0,))
+        disk.flush_counters()
+        stat_calls[0] = 0
+        assert disk.lifetime()["hit_rate"] == pytest.approx(1.0)
+        assert _disk_discount(True) == pytest.approx(0.1)
+        assert stat_calls[0] == 0
+
+
+class TestSharedBudget:
+    def test_two_unaware_writers_end_within_budget(self, tmp_path):
+        """Two caches on one root each index only their own writes
+        after seeding; the next store that takes either one's total
+        over the budget rescans and brings the whole tier back under
+        it."""
+        a = DiskSolveCache(root=tmp_path)
+        b = DiskSolveCache(root=tmp_path)
+        b.store("dp", ("b", 0), _tiny(0))  # b seeds: sees only its entry
+        size = _tier_bytes(b)
+        a.max_bytes = b.max_bytes = 10 * size
+        for i in range(9):  # a seeds at its first store: sees b's entry
+            a.store("dp", ("a", i), _tiny(i))
+        for i in range(1, 9):
+            b.store("dp", ("b", i), _tiny(i))
+        # 18 entries on disk, but each cache believes in at most 10
+        assert _tier_bytes(a) == 18 * size
+        assert a.stats().evictions == b.stats().evictions == 0
+        a.store("dp", ("a", 9), _tiny(9))  # a's 11th: over its budget
+        assert a.stats().evictions > 0
+        assert _tier_bytes(a) <= a.max_bytes
+
+    def test_threads_keep_the_index_exact(self, tmp_path):
+        """Concurrent stores from many threads: the running total must
+        equal the bytes on disk (a lost update would break it) and the
+        budget must hold."""
+        import sys
+        import threading
+
+        cache = DiskSolveCache(root=tmp_path)
+        cache.store("dp", ("probe",), _tiny(0))
+        cache.max_bytes = 25 * _tier_bytes(cache)
+        n_threads, per_thread = 8, 30
+
+        def writer(t: int) -> None:
+            for i in range(per_thread):
+                cache.store("dp", (t, i), _tiny(i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(t,))
+                for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.stats().stores == 1 + n_threads * per_thread
+        assert cache._index.total == _tier_bytes(cache) <= cache.max_bytes
+
+
+class TestCounterFlush:
+    def test_counters_written_once_per_unit(self, monkeypatch):
+        """``store()`` no longer rewrites counters.json; each work unit
+        flushes once at exit."""
+        import os
+
+        from repro.cluster.models import ConstantOverhead, Platform
+        from repro.core.cache import clear_replan_memo
+        from repro.core.diskcache import get_disk_cache
+        from repro.execution import ExecutionConfig
+        from repro.policies import DPNextFailurePolicy
+        from repro.simulation import parallel
+        from repro.simulation.runner import run_scenarios
+
+        clear_cache()
+        clear_replan_memo()
+        disk = get_disk_cache()
+        disk.reset_stats()  # nothing left over from earlier tests to flush
+        real_replace, real_run_unit = os.replace, parallel._run_unit
+        writes, units = [0], [0]
+
+        def counted_replace(src, dst, *args, **kwargs):
+            if os.fspath(dst).endswith("counters.json"):
+                writes[0] += 1
+            return real_replace(src, dst, *args, **kwargs)
+
+        def counted_run_unit(*args, **kwargs):
+            units[0] += 1
+            return real_run_unit(*args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", counted_replace)
+        monkeypatch.setattr(parallel, "_run_unit", counted_run_unit)
+        platform = Platform(
+            p=4, dist=Weibull.from_mtbf(12 * HOUR, 0.7), downtime=60.0,
+            overhead=ConstantOverhead(600.0),
+        )
+        run_scenarios(
+            [DPNextFailurePolicy(n_grid=24)], platform, 0.25 * DAY,
+            n_traces=4, horizon=200 * DAY, seed=7,
+            include_lower_bound=False, include_period_lb=False,
+            execution=ExecutionConfig(jobs=1),
+        )
+        stores = disk.stats().stores
+        assert units[0] >= 1
+        assert stores > units[0]
+        assert writes[0] == units[0]
+        assert disk.lifetime()["stores"] == stores
