@@ -657,6 +657,7 @@ class ParallelRunner:
             own = sweep._build_group(
                 platform, horizon, seed, n_traces, t0, self.execution
             )
+            own.publish(self.execution)
         try:
             with using_execution(self.execution):
                 return self._run_phases(

@@ -48,8 +48,9 @@ def split_traces(traces: PlatformTraces, n_units: int) -> tuple[JobTraces, JobTr
             f"platform has {traces.n_units} units, need {2 * n_units}"
         )
     first = traces.for_job(n_units)
-    second = PlatformTraces(
-        traces.per_unit[n_units : 2 * n_units],
+    second = PlatformTraces.from_flat(
+        traces.times[traces.offsets[n_units] : traces.offsets[2 * n_units]],
+        traces.counts[n_units : 2 * n_units],
         horizon=traces.horizon,
         downtime=traces.downtime,
     ).for_job(n_units)

@@ -25,8 +25,10 @@ This module plans and executes the grid as a whole:
    group runs over that single
    :class:`~repro.simulation.parallel.SharedTraces`.  One process pool
    serves the whole sweep, and a one-ahead prefetch thread builds the
-   *next* group's trace set while the current group replays, so
-   workers never idle on generation between groups.
+   *next* group's trace set and ensemble while the current group
+   replays, so workers never idle on generation between groups.  The
+   next group is published only after the current group's segment is
+   closed, so at most one group's segment is mapped at a time.
 
 Bit-identity: trace ``i`` is a pure function of ``(platform, horizon,
 seed, i)`` (the determinism anchor), and a row subset of the group
@@ -39,7 +41,7 @@ shared planning ever misbehaves.
 
 :func:`_build_group` is the one trace-set builder: a parallel
 :class:`~repro.simulation.parallel.ParallelRunner` that owns its
-scenario builds its shared-memory publication with it too.
+scenario builds and publishes it the same way.
 """
 
 from __future__ import annotations
@@ -193,13 +195,36 @@ class SweepResult:
 
 @dataclass
 class _GroupResources:
-    """One group's shared trace set + the shm publication backing it
-    (closed by the sweep loop when the group finishes)."""
+    """One group's shared trace set + the shm publication backing it.
+
+    Built (possibly on the prefetch thread) without shared memory; the
+    sweep loop calls :meth:`publish` on the main thread right before
+    the group replays and :meth:`close` when it finishes, so at most
+    one group's segment is mapped at any time."""
 
     shared: SharedTraces
-    publication: object | None = None
+    scenario: dict[str, Any]
+    publication: _shm.ScenarioPublication | None = None
     build_seconds: float = 0.0
     prefetched: bool = False
+
+    def publish(self, execution: ExecutionConfig) -> None:
+        """Copy traces + ensemble into shared memory when parallel
+        workers will consume them."""
+        if not (execution.use_shm and execution.n_jobs > 1 and self.shared.traces):
+            return
+        start = time.perf_counter()  # reprolint: clock-ok=sweep build diagnostics
+        try:
+            publication = _shm.publish_scenario(
+                self.shared.traces, self.shared.ensemble, **self.scenario
+            )
+        except Exception:
+            # no shared memory on this platform / size limits: parallel
+            # workers fall back to per-task regeneration (bit-identical)
+            return
+        self.publication = publication
+        self.shared.layout = publication.layout
+        self.build_seconds += time.perf_counter() - start  # reprolint: clock-ok=sweep build diagnostics
 
     def close(self) -> None:
         if self.publication is not None:
@@ -211,37 +236,23 @@ def _build_group(
     platform, horizon: float, seed: int, n_traces: int, t0: float,
     execution: ExecutionConfig,
 ) -> _GroupResources:
-    """Generate one trace set, compile its ensemble, and publish both
-    to shared memory when parallel workers will consume them."""
+    """Generate one trace set and compile its ensemble (unpublished:
+    see :meth:`_GroupResources.publish`)."""
     build_start = time.perf_counter()  # reprolint: clock-ok=sweep build diagnostics
     traces = [_job_trace(platform, horizon, seed, i) for i in range(n_traces)]
     if execution.use_batch:
         ensemble = TraceEnsemble(traces, platform.recovery, t0)
     else:
         ensemble = None
-    publication = None
-    layout = None
-    if execution.use_shm and execution.n_jobs > 1 and traces:
-        try:
-            publication = _shm.publish_scenario(
-                traces,
-                ensemble,
-                n_units=platform.num_nodes,
-                downtime=platform.downtime,
-                horizon=horizon,
-                recovery=platform.recovery,
-                t0=t0,
-            )
-            layout = publication.layout
-        except Exception:
-            # no shared memory on this platform / size limits: parallel
-            # workers fall back to per-task regeneration (bit-identical)
-            publication = None
-            layout = None
-    shared = SharedTraces(traces=traces, ensemble=ensemble, layout=layout)
     return _GroupResources(
-        shared=shared,
-        publication=publication,
+        shared=SharedTraces(traces=traces, ensemble=ensemble),
+        scenario=dict(
+            n_units=platform.num_nodes,
+            downtime=platform.downtime,
+            horizon=horizon,
+            recovery=platform.recovery,
+            t0=t0,
+        ),
         build_seconds=time.perf_counter() - build_start,  # reprolint: clock-ok=sweep build diagnostics
     )
 
@@ -350,6 +361,11 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
     executor = ProcessPoolExecutor(max_workers=jobs_n) if jobs_n > 1 else None
     pending: tuple | None = None  # (thread, box) of the next group's build
     try:
+        if executor is not None:
+            # fork the workers now, before any group's trace set exists
+            # and before the prefetch thread starts: they attach to shm
+            # instead of inheriting (and holding resident) trace sets
+            executor.submit(int).result()
         for gi, group in enumerate(plan.groups):
             if pending is None:
                 resources = _build_spec_group(specs[group.indices[0]], execution)
@@ -366,12 +382,12 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
                 pending = _start_prefetch(
                     lambda spec=next_spec: _build_spec_group(spec, execution)
                 )
-            shm_bytes = (
-                resources.publication.nbytes
-                if resources.publication is not None
-                else 0
-            )
+            shm_bytes = 0
             try:
+                # the previous group's segment is closed by now
+                resources.publish(execution)
+                if resources.publication is not None:
+                    shm_bytes = resources.publication.nbytes
                 for index in group.indices:
                     _run_point(index, shared=resources.shared, executor=executor)
             finally:
@@ -389,11 +405,8 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
             })
     finally:
         if pending is not None:
-            thread, box = pending
-            thread.join(timeout=MINUTE)
-            leftover = box.get("resources")
-            if leftover is not None:
-                leftover.close()
+            # an unconsumed prefetch holds no segment; just let it end
+            pending[0].join(timeout=MINUTE)
         if executor is not None:
             executor.shutdown()
 

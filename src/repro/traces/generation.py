@@ -105,32 +105,37 @@ def generate_platform_traces(
     xs = np.asarray(dist.sample(rng, size=(n_units, batch)), dtype=float)
     # failure k of a unit lands at sum(x_1..x_k) + (k-1) * downtime
     fails = np.cumsum(xs, axis=1) + downtime * np.arange(batch)[None, :]
-    # per-unit horizon crossing; rows are strictly increasing
-    cuts = np.sum(fails <= horizon, axis=1)
-    children = None
-    per_unit: list[np.ndarray] = []
-    for i in range(n_units):
-        head = fails[i, : cuts[i]]
-        if cuts[i] < batch:
-            per_unit.append(head)
-            continue
-        # batch exhausted before the horizon: continue this unit's
-        # renewal process from its dedicated child stream
-        if children is None:
-            children = ss.spawn(n_units)
-        tail_rng = np.random.default_rng(children[i])
-        t = float(fails[i, -1]) + downtime
-        tail_chunks = [head]
-        while True:
-            ys = np.asarray(dist.sample(tail_rng, size=batch), dtype=float)
-            tail = t + np.cumsum(ys) + downtime * np.arange(batch)
-            cut = int(np.searchsorted(tail, horizon, side="right"))
-            tail_chunks.append(tail[:cut])
-            if cut < batch:
-                break
-            t = tail[-1] + downtime
-        per_unit.append(np.concatenate(tail_chunks))
-    return PlatformTraces(per_unit, horizon=horizon, downtime=downtime)
+    # rows are non-decreasing, so each row's mask is a prefix of the
+    # row and row-major selection concatenates the per-unit heads
+    inside = fails <= horizon
+    counts = inside.sum(axis=1, dtype=np.int64)
+    times = fails[inside]
+    exhausted = np.flatnonzero(counts == batch)
+    if exhausted.size:
+        # batch exhausted before the horizon: continue each such unit's
+        # renewal process from its dedicated child stream and splice
+        # the tail in right after the unit's head
+        children = ss.spawn(n_units)
+        ends = np.cumsum(counts)
+        pieces: list[np.ndarray] = []
+        start = 0
+        for i in exhausted.tolist():
+            pieces.append(times[start : ends[i]])
+            start = ends[i]
+            tail_rng = np.random.default_rng(children[i])
+            t = float(fails[i, -1]) + downtime
+            while True:
+                ys = np.asarray(dist.sample(tail_rng, size=batch), dtype=float)
+                tail = t + np.cumsum(ys) + downtime * np.arange(batch)
+                cut = int(np.searchsorted(tail, horizon, side="right"))
+                pieces.append(tail[:cut])
+                counts[i] += cut
+                if cut < batch:
+                    break
+                t = tail[-1] + downtime
+        pieces.append(times[start:])
+        times = np.concatenate(pieces)
+    return PlatformTraces.from_flat(times, counts, horizon=horizon, downtime=downtime)
 
 
 def generate_rejuvenated_platform_traces(
@@ -187,24 +192,57 @@ class JobTraces:
         """
         starts = np.zeros(self.n_units)
         before = self.times < t0
-        if before.any():
-            # last failure per unit among events before t0
-            for u, tf in zip(self.units[before], self.times[before]):
-                starts[u] = max(starts[u], tf + self.downtime)
+        # latest failure per unit among events before t0
+        np.maximum.at(starts, self.units[before], self.times[before] + self.downtime)
         return starts
 
 
 class PlatformTraces:
-    """Failure traces of a full platform; jobs consume unit prefixes."""
+    """Failure traces of a full platform; jobs consume unit prefixes.
+
+    Stored flat: ``times`` holds every unit's sorted failure dates,
+    units concatenated in order, and unit ``i`` owns
+    ``times[offsets[i]:offsets[i + 1]]`` (``counts[i]`` events).  The
+    first ``n`` units are therefore always the prefix
+    ``times[:offsets[n]]``.
+    """
 
     def __init__(self, per_unit: list[np.ndarray], horizon: float, downtime: float):
-        self.per_unit = [np.asarray(t, dtype=float) for t in per_unit]
+        arrays = [np.asarray(t, dtype=float) for t in per_unit]
+        counts = np.array([a.size for a in arrays], dtype=np.int64)
+        times = np.concatenate(arrays) if arrays else np.empty(0)
+        self._set_flat(times, counts, horizon, downtime)
+
+    @classmethod
+    def from_flat(
+        cls, times: np.ndarray, counts: np.ndarray, horizon: float, downtime: float
+    ) -> "PlatformTraces":
+        """Wrap an already-flat layout (``times`` concatenated per
+        unit, ``counts`` events per unit) without copying; ``times``
+        becomes read-only."""
+        traces = cls.__new__(cls)
+        traces._set_flat(times, counts, horizon, downtime)
+        return traces
+
+    def _set_flat(
+        self, times: np.ndarray, counts: np.ndarray, horizon: float, downtime: float
+    ) -> None:
+        self.times = np.asarray(times, dtype=float)
+        self.times.flags.writeable = False
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.offsets = np.zeros(self.counts.size + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.offsets[1:])
         self.horizon = float(horizon)
         self.downtime = float(downtime)
 
     @property
     def n_units(self) -> int:
-        return len(self.per_unit)
+        return self.counts.size
+
+    @property
+    def per_unit(self) -> list[np.ndarray]:
+        """Read-only per-unit views into ``times``."""
+        return np.split(self.times, self.offsets[1:-1]) if self.n_units else []
 
     def for_job(self, n_units: int) -> JobTraces:
         """Merged, sorted event stream of the first ``n_units`` units."""
@@ -212,11 +250,8 @@ class PlatformTraces:
             raise ValueError(
                 f"job needs {n_units} units but platform has {self.n_units}"
             )
-        chunks = self.per_unit[:n_units]
-        times = np.concatenate(chunks) if chunks else np.empty(0)
-        units = np.concatenate(
-            [np.full(c.size, i, dtype=np.int64) for i, c in enumerate(chunks)]
-        ) if chunks else np.empty(0, dtype=np.int64)
+        times = self.times[: self.offsets[n_units]]
+        units = np.repeat(np.arange(n_units, dtype=np.int64), self.counts[:n_units])
         order = np.argsort(times, kind="stable")
         return JobTraces(
             times=times[order],

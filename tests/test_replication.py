@@ -37,6 +37,23 @@ class TestSplit:
         # half B's first unit is platform unit 3
         assert np.array_equal(b.times[b.units == 0], pt.per_unit[3])
 
+    def test_second_half_matches_rebuilt_platform(self):
+        """Slicing the flat layout equals rebuilding a platform from
+        the second half's per-unit arrays."""
+        pt = generate_platform_traces(Weibull.from_mtbf(DAY, 0.7), 9, 40 * DAY, seed=3)
+        for n in (1, 2, 4):
+            _, b = split_traces(pt, n)
+            ref = PlatformTraces(
+                pt.per_unit[n : 2 * n], horizon=pt.horizon, downtime=pt.downtime
+            ).for_job(n)
+            assert b.times.tobytes() == ref.times.tobytes()
+            assert b.units.tobytes() == ref.units.tobytes()
+            assert b.times.dtype == ref.times.dtype
+            assert b.units.dtype == ref.units.dtype
+            assert (b.n_units, b.horizon, b.downtime) == (
+                ref.n_units, ref.horizon, ref.downtime,
+            )
+
     def test_requires_enough_units(self):
         pt = generate_platform_traces(Exponential(1 / HOUR), 4, DAY, seed=0)
         with pytest.raises(ValueError):

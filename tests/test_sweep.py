@@ -190,6 +190,62 @@ class TestRunSweepReporting:
         assert sweep.group_stats[0]["prefetched"] is False
         assert sweep.group_stats[1]["prefetched"] is True
 
+    def test_at_most_one_group_published_at_a_time(self, monkeypatch):
+        """The prefetch thread only builds; the next group is published
+        after the current group's segment is closed."""
+        from repro.simulation import shm as shm_mod
+
+        events: list[tuple[str, int]] = []
+        publish = shm_mod.publish_scenario
+        close = shm_mod.ScenarioPublication.close
+
+        def recording_publish(*args, **kwargs):
+            publication = publish(*args, **kwargs)
+            events.append(("publish", id(publication)))
+            return publication
+
+        def recording_close(self):
+            events.append(("close", id(self)))
+            close(self)
+
+        monkeypatch.setattr(shm_mod, "publish_scenario", recording_publish)
+        monkeypatch.setattr(shm_mod.ScenarioPublication, "close", recording_close)
+        specs = expand_grid(
+            dict(TINY), {"checkpoint": [300.0, 600.0], "seed": [0, 1]}
+        )
+        sweep = run_sweep(specs, ExecutionConfig(jobs=2, use_shm=True))
+        assert [s["shm"] for s in sweep.group_stats] == [True, True]
+        assert sweep.group_stats[1]["prefetched"] is True
+        assert [kind for kind, _ in events] == [
+            "publish", "close", "publish", "close",
+        ]
+        live: set[int] = set()
+        for kind, ident in events:
+            if kind == "publish":
+                live.add(ident)
+            else:
+                live.discard(ident)
+            assert len(live) <= 1
+
+    def test_workers_fork_before_any_group_is_built(self, monkeypatch):
+        """Workers hold no copy of a trace set, and no fork happens
+        while the prefetch thread runs."""
+        import multiprocessing
+
+        from repro.simulation import sweep as sweep_mod
+
+        build = sweep_mod._build_group
+        alive: list[int] = []
+
+        def recording_build(*args, **kwargs):
+            alive.append(len(multiprocessing.active_children()))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "_build_group", recording_build)
+        specs = expand_grid(dict(TINY), {"seed": [0, 1]})
+        run_sweep(specs, ExecutionConfig(jobs=2, use_shm=True))
+        assert alive == [2, 2]
+
     def test_reference_path_reuses_nothing(self):
         sweep = run_sweep(_grid_12()[:2], ExecutionConfig(use_sweep_plan=False))
         assert sweep.group_stats == []

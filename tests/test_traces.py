@@ -2,19 +2,60 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.models import ConstantOverhead, Platform
 from repro.distributions import Exponential, Weibull
+from repro.simulation.parallel import _job_trace
 from repro.traces import (
     PlatformTraces,
     generate_failure_times,
     generate_platform_traces,
     generate_rejuvenated_platform_traces,
 )
+from repro.traces.generation import _trace_batch_size
 from repro.units import DAY, HOUR
+
+
+def _merge_reference(per_unit, n_units):
+    """Reference merge of the first ``n_units`` units: concatenate the
+    per-unit arrays, label each event with its unit, stable-sort."""
+    chunks = [np.asarray(t, dtype=float) for t in per_unit[:n_units]]
+    times = np.concatenate(chunks)
+    units = np.concatenate(
+        [np.full(c.size, i, dtype=np.int64) for i, c in enumerate(chunks)]
+    )
+    order = np.argsort(times, kind="stable")
+    return times[order], units[order]
+
+
+def _lifetime_starts_reference(tr, t0):
+    """Reference per-event loop for :meth:`JobTraces.lifetime_starts_at`."""
+    starts = np.zeros(tr.n_units)
+    before = tr.times < t0
+    for u, tf in zip(tr.units[before], tr.times[before]):
+        starts[u] = max(starts[u], tf + tr.downtime)
+    return starts
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ``_job_trace`` inputs pinned by the golden digest below; the two
+# Weibull k=0.3 cases exhaust several units' first batches per trace
+_GOLDEN_CASES = [
+    (Exponential(1 / DAY), 64, 60.0, 200 * DAY, 11, 4),
+    (Weibull.from_mtbf(10 * DAY, 0.7), 128, 60.0, 300 * DAY, 5, 3),
+    (Weibull.from_mtbf(HOUR, 0.3), 16, 0.0, 200 * HOUR, 9, 4),
+    (Weibull.from_mtbf(HOUR, 0.3), 16, 30.0, 200 * HOUR, 2, 4),
+]
+_GOLDEN_SHA256 = "4490c003cb6fcc563acfcb91b70622109baa66778256559e2dabb008d075a9d1"
 
 
 class TestSingleTrace:
@@ -148,3 +189,111 @@ class TestJobTraces:
         pt = PlatformTraces([np.array([29.0])], horizon=100.0, downtime=5.0)
         starts = pt.for_job(1).lifetime_starts_at(t0=30.0)
         assert starts[0] == pytest.approx(34.0)
+
+
+class TestFlatLayout:
+    """The flat ``times``/``counts``/``offsets`` layout against the
+    reference merge and a digest of the traces it has always produced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        per_unit=st.lists(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+                max_size=6,
+            ).map(sorted),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_property_for_job_matches_reference(self, per_unit):
+        pt = PlatformTraces(per_unit, horizon=1e6, downtime=5.0)
+        assert pt.n_units == len(per_unit)
+        for n in range(1, len(per_unit) + 1):
+            tr = pt.for_job(n)
+            times, units = _merge_reference(per_unit, n)
+            assert _same_bytes(tr.times, times)
+            assert _same_bytes(tr.units, units)
+
+    def test_per_unit_views_are_read_only(self):
+        pt = PlatformTraces([[1.0, 2.0], [], [3.0]], horizon=10.0, downtime=0.0)
+        views = pt.per_unit
+        assert [v.tolist() for v in views] == [[1.0, 2.0], [], [3.0]]
+        assert pt.counts.tolist() == [2, 0, 1]
+        assert pt.offsets.tolist() == [0, 2, 2, 3]
+        with pytest.raises(ValueError):
+            views[0][0] = 5.0
+
+    def test_generated_matches_reference_merge(self):
+        pt = generate_platform_traces(Weibull.from_mtbf(DAY, 0.7), 12, 30 * DAY, seed=5)
+        per_unit = pt.per_unit
+        for n in (1, 5, 12):
+            tr = pt.for_job(n)
+            times, units = _merge_reference(per_unit, n)
+            assert _same_bytes(tr.times, times)
+            assert _same_bytes(tr.units, units)
+
+    def test_exhausted_batches_top_up_prefix_coherently(self):
+        """Heavy-tailed lifetimes with a short mean outrun the first
+        batch; those units continue from their own child streams, so
+        every unit is the same whatever the platform size."""
+        dist, horizon, downtime = Weibull.from_mtbf(HOUR, 0.3), 200 * HOUR, 30.0
+        batch = _trace_batch_size(dist, horizon, downtime)
+        sizes = (1, 3, 8, 32)
+        platforms = {
+            n: generate_platform_traces(dist, n, horizon, downtime, seed=[4, 2])
+            for n in sizes
+        }
+        full = platforms[32]
+        # the top-up path extended three units, one of them inside the
+        # smaller platforms too
+        assert np.flatnonzero(full.counts > batch).tolist() == [3, 20, 23]
+        for units in full.per_unit:
+            assert np.all(units <= horizon)
+            assert np.all(np.diff(units) >= downtime)
+        for n in sizes:
+            small = platforms[n]
+            assert _same_bytes(small.counts, full.counts[:n])
+            assert _same_bytes(small.times, full.times[: full.offsets[n]])
+            tr = full.for_job(n)
+            assert _same_bytes(tr.times, small.for_job(n).times)
+            assert _same_bytes(tr.units, small.for_job(n).units)
+
+    def test_job_trace_golden_digest(self):
+        digest = hashlib.sha256()
+        for dist, p, downtime, horizon, seed, n_traces in _GOLDEN_CASES:
+            platform = Platform(
+                p=p, dist=dist, downtime=downtime, overhead=ConstantOverhead(600.0)
+            )
+            for index in range(n_traces):
+                tr = _job_trace(platform, horizon, seed, index)
+                digest.update(
+                    f"{tr.times.dtype.str}{tr.units.dtype.str}{tr.n_units}"
+                    f"{tr.downtime!r}{tr.horizon!r}".encode()
+                )
+                digest.update(tr.times.tobytes())
+                digest.update(tr.units.tobytes())
+        assert digest.hexdigest() == _GOLDEN_SHA256
+
+
+class TestLifetimeStartsVectorized:
+    def test_matches_reference_loop(self):
+        pt = generate_platform_traces(
+            Weibull.from_mtbf(DAY, 0.7), 10, 60 * DAY, downtime=HOUR, seed=8
+        )
+        tr = pt.for_job(10)
+        for t0 in (0.0, 0.5 * DAY, 7 * DAY, 30 * DAY, 61 * DAY):
+            assert _same_bytes(
+                tr.lifetime_starts_at(t0), _lifetime_starts_reference(tr, t0)
+            )
+
+    def test_downtime_spanning_t0(self):
+        # unit 0 fails twice before t0 (latest wins), unit 1 is still
+        # down at t0, unit 2 fails only after t0, unit 3 never fails
+        pt = PlatformTraces(
+            [[3.0, 12.0, 40.0], [18.0], [25.0], []], horizon=100.0, downtime=5.0
+        )
+        tr = pt.for_job(4)
+        got = tr.lifetime_starts_at(20.0)
+        assert _same_bytes(got, _lifetime_starts_reference(tr, 20.0))
+        assert got.tolist() == [17.0, 23.0, 0.0, 0.0]
