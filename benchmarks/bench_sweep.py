@@ -6,13 +6,13 @@ signature), each in its **own child process** against a private
 ``.repro-service/`` root so the persistent disk tier cannot leak
 between arms:
 
-1. **baseline** — ``use_sweep_plan=False``: every grid
-   point runs as an independent scenario, regenerating its trace set
-   and recompiling its :class:`TraceEnsemble` — exactly what a loop of
-   ``repro run`` calls would execute.
-2. **sweep** — ``use_sweep_plan=True``: the planner
-   collapses the grid into one trace group; traces are generated once
-   and the ensemble compiled once for all 24 points.
+1. **baseline** — ``[spec.run(execution) for spec in specs]``: every
+   grid point runs as an independent one-point group, regenerating its
+   trace set and recompiling its :class:`TraceEnsemble` — exactly what
+   a loop of ``repro run`` calls would execute.
+2. **sweep** — ``run_sweep(specs, execution)``: the planner collapses
+   the grid into one trace group; traces are generated once and the
+   ensemble compiled once for all 24 points.
 
 The gate (full mode) is the sweep arm at >= 3x the baseline's
 wall-clock, with every point's comparable result payload byte-identical
@@ -20,9 +20,9 @@ across arms — planning moves work, never results.  ``--smoke`` (CI)
 checks only that identity at toy sizes; the full run asserts the speed
 gate and archives ``BENCH_sweep.json`` with host metadata.
 
-Child processes time *only* the ``run_sweep`` call (not interpreter
-startup or imports), so the reported ratio is trace-sharing, not
-process overhead.
+Child processes time *only* the arm's runs (not interpreter startup or
+imports), so the reported ratio is trace-sharing, not process
+overhead.
 """
 
 from __future__ import annotations
@@ -75,15 +75,14 @@ def _child_main(config: dict) -> dict:
     from repro.simulation.sweep import run_sweep
 
     specs = expand_grid(config["base"], config["grid"])
+    # disk tier off: isolate trace-sharing from the disk tier
+    execution = ExecutionConfig(jobs=config["jobs"], use_disk_cache=False)
     t0 = time.perf_counter()
-    sweep = run_sweep(
-        specs,
-        ExecutionConfig(
-            jobs=config["jobs"],
-            use_sweep_plan=config["use_sweep_plan"],
-            use_disk_cache=False,  # isolate trace-sharing from the disk tier
-        ),
-    )
+    if config["arm"] == "baseline":
+        results = [spec.run(execution) for spec in specs]
+    else:
+        sweep = run_sweep(specs, execution)
+        results = sweep.results
     seconds = time.perf_counter() - t0
     # canonical JSON of the comparable payload per point: the parent's
     # identity gate is a plain string equality over these
@@ -92,8 +91,10 @@ def _child_main(config: dict) -> dict:
             comparable_result_payload(scenario_result_to_dict(result)),
             sort_keys=True,
         )
-        for result in sweep.results
+        for result in results
     ]
+    if config["arm"] == "baseline":
+        return {"seconds": seconds, "payloads": payloads}
     return {
         "seconds": seconds,
         "payloads": payloads,
@@ -134,11 +135,11 @@ def bench_sweep(smoke: bool) -> dict:
         tier_a = pathlib.Path(tmp) / "tier-a"
         tier_b = pathlib.Path(tmp) / "tier-b"
         baseline = _run_child(
-            {"base": base, "grid": grid, "jobs": 1, "use_sweep_plan": False},
+            {"base": base, "grid": grid, "jobs": 1, "arm": "baseline"},
             tier_a,
         )
         sweep = _run_child(
-            {"base": base, "grid": grid, "jobs": 1, "use_sweep_plan": True},
+            {"base": base, "grid": grid, "jobs": 1, "arm": "sweep"},
             tier_b,
         )
 

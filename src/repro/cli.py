@@ -408,7 +408,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "base": base,
         "grid": grid,
         "plan": plan,
-        "sweep_planned": sweep.sweep_planned,
         "n_jobs": sweep.n_jobs,
         "elapsed": sweep.elapsed,
         "points": points,
@@ -990,8 +989,26 @@ def _add_endpoint_arg(p: argparse.ArgumentParser) -> None:
                         "http://127.0.0.1:8642)")
 
 
+class _UsageError(SystemExit):
+    """An argparse usage error (exit code 2); :func:`main` reports it as
+    an error envelope so stdout still carries one JSON document."""
+
+    def __init__(self, message: str):
+        super().__init__(2)
+        self.message = message
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises :class:`_UsageError` instead of exiting on a usage error
+    (subparsers inherit the class)."""
+
+    def error(self, message: str):  # type: ignore[override]
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="repro",
         description="Checkpointing strategies for parallel jobs (SC 2011) "
         "— reproduction toolkit.  stdout is always one JSON envelope; "
@@ -1014,10 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "names with '+' within a value "
                               "(policies=young+dalylow,optexp)")
     _add_execution_args(p_sweep)
-    p_sweep.add_argument("--no-sweep-plan", action="store_true",
-                         help="run every grid point as an independent "
-                              "scenario (bit-identical results; escape "
-                              "hatch / A-B check)")
     _add_endpoint_arg(p_sweep)
     p_sweep.add_argument("--submit", action="store_true",
                          help="send the sweep to the daemon as one "
@@ -1177,11 +1190,13 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
     Guarantees the stdout contract even on failure: any uncaught
-    domain/transport error becomes an error envelope with exit code 2
-    (argparse usage errors exit 2 via SystemExit with an *empty*
-    stdout, which vacuously satisfies "nothing but JSON on stdout").
+    domain/transport error and any usage error (unknown flag, bad
+    value) becomes an error envelope with exit code 2.
     """
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return emit(error_envelope("repro", "UsageError", exc.message))
     # compare defaults to a 3-policy panel when no --policies was given
     if getattr(args, "policies", None) is None and hasattr(
         args, "policies_default"

@@ -2,9 +2,9 @@
 
 Every speed layer of the execution tier has a bit-identical reference
 path behind a switch: batch replay, the DP table cache, the replan memo,
-shared-memory trace publication, the persistent disk solve tier and the
-sweep planner.  Together with the worker count they form one
-:class:`ExecutionConfig` value:
+shared-memory trace publication and the persistent disk solve tier.
+Together with the worker count they form one :class:`ExecutionConfig`
+value (six settable values):
 
 - it is built in one place, by one strict parser
   (:meth:`ExecutionConfig.from_dict`) that the CLI flags
@@ -13,8 +13,9 @@ sweep planner.  Together with the worker count they form one
   ``"execution"`` body all go through;
 - it travels as a single ``execution`` argument from the CLI through
   :meth:`ScenarioSpec.run <repro.service.spec.ScenarioSpec.run>`,
-  :func:`~repro.simulation.runner.run_scenarios`, the sweep engine and
-  the service queue down to the runner's work units;
+  :func:`~repro.simulation.runner.run_scenarios` and the service queue
+  into the one executor (:mod:`repro.simulation.sweep`) and down to the
+  runner's work units;
 - below the runner, the cache tiers read the *active* config
   (:func:`active_execution`) from one :class:`contextvars.ContextVar`
   that :class:`~repro.simulation.parallel.ParallelRunner` and each work
@@ -43,15 +44,14 @@ __all__ = [
     "using_execution",
 ]
 
-#: Each switch with its CLI flag and ``REPRO_BENCH_*`` variable (None:
-#: no variable); the daemon's ``"execution"`` key is the field name.
-_SWITCHES: dict[str, tuple[str, str | None]] = {
+#: Each switch with its CLI flag and ``REPRO_BENCH_*`` variable; the
+#: daemon's ``"execution"`` key is the field name.
+_SWITCHES: dict[str, tuple[str, str]] = {
     "use_cache": ("--no-cache", "REPRO_BENCH_NO_CACHE"),
     "use_batch": ("--no-batch", "REPRO_BENCH_NO_BATCH"),
     "use_memo": ("--no-memo", "REPRO_BENCH_NO_MEMO"),
     "use_shm": ("--no-shm", "REPRO_BENCH_NO_SHM"),
     "use_disk_cache": ("--no-disk-cache", "REPRO_BENCH_NO_DISKCACHE"),
-    "use_sweep_plan": ("--no-sweep-plan", None),
 }
 
 
@@ -75,9 +75,7 @@ class ExecutionConfig:
     ensembles to workers through shared memory
     (:mod:`repro.simulation.shm`).  ``use_disk_cache``: consult the
     persistent disk solve tier (:mod:`repro.core.diskcache`) under the
-    in-memory caches.  ``use_sweep_plan``: run a sweep's grid points in
-    shared-trace groups (:mod:`repro.simulation.sweep`) instead of as
-    independent scenarios.  Every switch leaves results bit-identical.
+    in-memory caches.  Every switch leaves results bit-identical.
 
     Frozen, so the shared :data:`DEFAULT_EXECUTION` instance is safe to
     use as a default argument.
@@ -89,7 +87,6 @@ class ExecutionConfig:
     use_memo: bool = True
     use_shm: bool = True
     use_disk_cache: bool = True
-    use_sweep_plan: bool = True
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any] | None) -> ExecutionConfig:
@@ -138,7 +135,7 @@ class ExecutionConfig:
         if jobs:
             raw["jobs"] = int(jobs)
         for key, (_flag, var) in _SWITCHES.items():
-            if var is not None and environ.get(var):
+            if environ.get(var):
                 raw[key] = False
         return cls.from_dict(raw)
 

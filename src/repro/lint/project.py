@@ -439,7 +439,6 @@ KNOB_NAMES = frozenset(
         "use_shm",
         "use_cache",
         "use_disk_cache",
-        "use_sweep_plan",
         "vectorized",
     }
 )

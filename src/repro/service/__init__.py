@@ -2,8 +2,8 @@
 
 The service layer turns the one-shot runner into a long-lived scenario
 daemon (``repro serve``) with a submit/poll/stream API backed by the
-PR-1/4/5 execution tier (:class:`~repro.simulation.parallel.ParallelRunner`,
-batch replay, replan memo, shared-memory ensembles).  Its pieces:
+one executor (:mod:`repro.simulation.sweep`, with batch replay, the
+replan memo and shared-memory ensembles below it).  Its pieces:
 
 - :mod:`repro.service.envelope` — the stable JSON envelope every
   ``repro`` subcommand prints on stdout (human logs go to stderr);
@@ -13,8 +13,8 @@ batch replay, replan memo, shared-memory ensembles).  Its pieces:
   :class:`~repro.simulation.runner.ScenarioResult` <-> JSON codecs;
 - :mod:`repro.service.store` — the on-disk content-addressed result
   store (signature -> archived result, versioned by code hash);
-- :mod:`repro.service.queue` — the in-daemon job queue that shards
-  scenario batches across ParallelRunner workers;
+- :mod:`repro.service.queue` — the in-daemon job queue that runs
+  each job, and each trace group of a batch, as one sweep group;
 - :mod:`repro.service.daemon` — the local HTTP / unix-socket server;
 - :mod:`repro.service.client` — the stdlib client the CLI subcommands
   ``submit`` / ``status`` / ``result`` speak through.

@@ -31,11 +31,15 @@ each group executes over one shared trace set
 (:meth:`~repro.service.queue.JobQueue.submit_batch`).  Member jobs
 stay individually addressable under ``/v1/jobs/<id>``.
 
-Both submit routes take an optional ``"execution"`` object, parsed
-strictly by :meth:`repro.execution.ExecutionConfig.from_dict`: known
-field names only, JSON booleans for the switches (including the
-batch-only ``use_sweep_plan``, the bit-identical independent-runs
-escape hatch) and an integer for ``jobs``.  Anything else is a 400.
+Request bodies are strict.  ``/v1/jobs`` accepts only the top-level
+keys ``spec`` and ``execution``, ``/v1/batches`` only ``specs``,
+``base``, ``grid`` and ``execution``; any other key is a 400 that names
+it, so a misspelled key never runs silently with defaults.  The
+optional ``"execution"`` object is parsed strictly by
+:meth:`repro.execution.ExecutionConfig.from_dict`: known field names
+only, JSON booleans for the switches and an integer for ``jobs``.
+Anything else is a 400.  Both routes execute on the one executor
+(:mod:`repro.simulation.sweep`): a job is a sweep group of one point.
 
 HTTP status mirrors envelope exit codes: 200 for ``ok``, 400 for bad
 requests, 404 for unknown jobs, 409 for not-ready results, 500 for
@@ -63,6 +67,8 @@ __all__ = ["ServiceDaemon"]
 
 _MAX_BODY = 1 << 20  # 1 MiB: specs are tiny; reject anything bigger
 _STREAM_POLL = 0.1  # seconds between stream status snapshots
+_JOB_KEYS = ("spec", "execution")  # the top-level keys of POST /v1/jobs
+_BATCH_KEYS = ("specs", "base", "grid", "execution")  # ... of /v1/batches
 
 
 class _UnixHTTPServer(ThreadingHTTPServer):
@@ -126,7 +132,9 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:
             hlog(f"[serve] failed to send error response: {exc!r}")
 
-    def _read_body(self) -> dict[str, Any]:
+    def _read_body(self, keys: tuple[str, ...]) -> dict[str, Any]:
+        """The request's JSON object; a top-level key outside ``keys``
+        is a :class:`ValueError` (HTTP 400) that names it."""
         length = int(self.headers.get("Content-Length") or 0)
         if length > _MAX_BODY:
             raise ValueError(f"request body too large ({length} bytes)")
@@ -135,6 +143,12 @@ class _Handler(BaseHTTPRequestHandler):
         doc = json.loads(self.rfile.read(length).decode())
         if not isinstance(doc, dict):
             raise ValueError("request body must be a JSON object")
+        for key in doc:
+            if key not in keys:
+                raise ValueError(
+                    f"unknown top-level key {key!r}; expected one of "
+                    f"{', '.join(keys)}"
+                )
         return doc
 
     # -- verbs ---------------------------------------------------------
@@ -167,7 +181,7 @@ class _Handler(BaseHTTPRequestHandler):
         if method == "GET" and tail == ["health"]:
             self._send(200, envelope("service.health", self.daemon.health()))
         elif method == "POST" and tail == ["jobs"]:
-            body = self._read_body()
+            body = self._read_body(_JOB_KEYS)
             spec = ScenarioSpec.from_dict(body.get("spec") or {})
             execution = ExecutionConfig.from_dict(body.get("execution"))
             job = queue.submit(spec, execution)
@@ -188,13 +202,8 @@ class _Handler(BaseHTTPRequestHandler):
                 and tail[2] == "stream":
             self._stream(tail[1])
         elif method == "POST" and tail == ["batches"]:
-            body = self._read_body()
+            body = self._read_body(_BATCH_KEYS)
             specs = self._batch_specs(body)
-            if "use_sweep_plan" in body:
-                raise ValueError(
-                    "top-level use_sweep_plan is not accepted; "
-                    "send it as execution.use_sweep_plan"
-                )
             execution = ExecutionConfig.from_dict(body.get("execution"))
             batch = queue.submit_batch(specs, execution)
             self._send(200, envelope(

@@ -4,28 +4,32 @@ Jobs move through ``queued -> running -> done | failed``; a submission
 whose signature is already archived short-circuits to ``cached`` and
 never enters the queue, and a submission whose signature is already
 queued or running **coalesces** onto the live job instead of solving
-the same scenario twice.  Worker threads drain the queue; each job's
-scenario execution fans out over ParallelRunner processes, so the
-queue's worker count bounds *concurrent scenarios* while each job's
-:class:`~repro.execution.ExecutionConfig` bounds *processes per
-scenario*.  Concurrent jobs with different configs cannot interfere:
-the runner makes each job's config the active one of its own worker
-thread only.
+the same scenario twice.
 
-Batch submission (``POST /v1/batches``, :meth:`JobQueue.submit_batch`)
-layers the sweep planner on top: every point of a sweep becomes a
-member job with the usual store-hit / live-coalesce semantics, and the
-points that actually need solving are grouped by trace signature
-(:func:`repro.simulation.sweep.trace_signature`) into *group tasks* —
-one queue entry per group, executed by :func:`repro.simulation.sweep.
-run_sweep` over one shared trace set.  Member jobs stay individually
-addressable (status/result/stream by job id); the
-:class:`BatchRecord` aggregates them into one batch-status envelope.
+Every queue entry is a *group task*: a list of member jobs whose specs
+share one trace signature, executed by
+:func:`repro.simulation.sweep.run_sweep` — the one executor — over one
+shared trace set.  A plain submission (``POST /v1/jobs``,
+:meth:`JobQueue.submit`) is a group of one job.  A batch submission
+(``POST /v1/batches``, :meth:`JobQueue.submit_batch`) makes every
+point of a sweep a member job with the usual store-hit / live-coalesce
+semantics and groups the points that actually need solving by trace
+signature (:func:`repro.simulation.sweep.trace_signature`), one queue
+entry per group.  Member jobs stay individually addressable
+(status/result/stream by job id); the :class:`BatchRecord` aggregates
+them into one batch-status envelope.
+
+Worker threads drain the queue; each group's execution fans out over
+one worker pool, so the queue's worker count bounds *concurrent
+groups* while each job's :class:`~repro.execution.ExecutionConfig`
+bounds *processes per group*.  Concurrent jobs with different configs
+cannot interfere: the runner makes each job's config the active one of
+its own worker thread only.
 
 Thread-safety: one lock guards the job table; records hand out
 JSON-ready snapshots (:meth:`JobRecord.to_status_dict`) rather than
 live references.  Progress is fed by the runner's per-work-unit
-callback (PR-6 plumbing in :class:`ParallelRunner`).
+callback (:class:`~repro.simulation.parallel.ParallelRunner`).
 """
 
 from __future__ import annotations
@@ -96,8 +100,9 @@ class JobRecord:
 
 @dataclass
 class _GroupTask:
-    """One sweep group's worth of member jobs, executed together over a
-    shared trace set (a queue entry alongside plain job ids)."""
+    """One queue entry: member jobs that share a trace signature,
+    executed together over one trace set (a plain job is a group of
+    one)."""
 
     job_ids: list[str]
     execution: ExecutionConfig
@@ -136,7 +141,7 @@ class JobQueue:
         self._ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._tasks: _queue.Queue[str | _GroupTask | None] = _queue.Queue()
+        self._tasks: _queue.Queue[_GroupTask | None] = _queue.Queue()
         self._workers = [
             threading.Thread(target=self._worker, daemon=True,
                              name=f"repro-job-worker-{i}")
@@ -187,12 +192,14 @@ class JobQueue:
         Store hit -> a fresh ``cached`` job carrying the archived
         result.  Live job with the same signature -> that job (the
         caller polls the first submission's progress).  Otherwise a new
-        ``queued`` job.
+        ``queued`` job, enqueued as a group of one.
         """
         with self._lock:
             job, newly_queued = self._register_locked(spec, execution)
             if newly_queued:
-                self._tasks.put(job.job_id)
+                self._tasks.put(
+                    _GroupTask(job_ids=[job.job_id], execution=execution)
+                )
             return job
 
     def submit_batch(
@@ -212,8 +219,6 @@ class JobQueue:
         :func:`~repro.simulation.sweep.run_sweep`.  Results land in the
         store under each member's own signature, so later submissions
         hit regardless of how the batch was grouped.
-        ``execution.use_sweep_plan=False`` runs each group's points as
-        independent scenarios instead.
         """
         if not specs:
             raise ValueError("batch must contain at least one spec")
@@ -250,7 +255,6 @@ class JobQueue:
                     "new_jobs": len(new_jobs),
                     "cached": cached,
                     "coalesced": len(specs) - len(new_jobs) - cached,
-                    "use_sweep_plan": execution.use_sweep_plan,
                 },
             )
             self._batches[batch.batch_id] = batch
@@ -262,55 +266,20 @@ class JobQueue:
 
     def _worker(self) -> None:
         while True:
-            item = self._tasks.get()
-            if item is None:
+            task = self._tasks.get()
+            if task is None:
                 return
-            if isinstance(item, _GroupTask):
-                self._execute_group(item)
-                continue
-            with self._lock:
-                job = self._jobs.get(item)
-                if job is None or job.state != "queued":
-                    continue
-                job.state = "running"
-                job.started_at = time.time()  # reprolint: clock-ok=job bookkeeping timestamp
-            self._execute(job)
-
-    def _execute(self, job: JobRecord) -> None:
-        def on_progress(done: int, total: int) -> None:
-            job.progress_done = done
-            job.progress_total = total
-
-        try:
-            result = job.spec.run(execution=job.execution, progress=on_progress)
-            result_doc = scenario_result_to_dict(result)
-            self.store.put(job.signature, job.spec.to_dict(), result_doc)
-            with self._lock:
-                job.result_doc = result_doc
-                job.state = "done"
-                job.finished_at = time.time()
-                self._by_signature.pop(job.signature, None)
-        except Exception as exc:
-            with self._lock:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "failed"
-                job.finished_at = time.time()
-                self._by_signature.pop(job.signature, None)
-            # full trace belongs in the daemon's stderr log, not the API
-            traceback.print_exc()
-        finally:
-            job._event.set()
+            self._execute_group(task)
 
     def _execute_group(self, task: _GroupTask) -> None:
-        """Run one sweep group's member jobs over a shared trace set.
+        """Run one group's member jobs over a shared trace set.
 
         ``run_sweep`` drives the per-point lifecycle through callbacks:
         a member flips to ``running`` when its point starts, gets
         per-work-unit progress ticks while it replays, and is archived +
         marked ``done`` the moment its point finishes — so pollers see
-        members complete one by one, exactly like individually submitted
-        jobs.  A group-level failure fails every not-yet-done member
-        with the same error."""
+        members complete one by one.  A group-level failure fails every
+        not-yet-done member with the same error."""
         with self._lock:
             jobs: list[JobRecord] = []
             for job_id in task.job_ids:

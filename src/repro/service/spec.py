@@ -33,6 +33,7 @@ from repro.units import DAY, MINUTE
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.models import Platform
     from repro.policies.base import Policy
+    from repro.simulation.parallel import Scenario
     from repro.simulation.runner import ScenarioResult
 
 __all__ = [
@@ -294,25 +295,12 @@ class ScenarioSpec:
         # the 60x on per-processor work is a horizon budget, not a minute
         return 60.0 * self.work / self.p + self.mtbf  # reprolint: disable=R2
 
-    def run(
-        self,
-        execution: ExecutionConfig = DEFAULT_EXECUTION,
-        progress: Callable[[int, int], None] | None = None,
-        shared=None,
-        executor=None,
-    ) -> "ScenarioResult":
-        """Execute this scenario on the PR-1/4/5 execution tier.
+    def build_scenario(self) -> "Scenario":
+        """The runner inputs this spec describes, with fresh policy
+        instances (:class:`~repro.simulation.parallel.Scenario`)."""
+        from repro.simulation.parallel import Scenario
 
-        Results are a pure function of the spec (bit-identical for any
-        ``execution`` config) — the property the content-addressed store and
-        the service's cached-resubmit contract rest on.  ``shared`` /
-        ``executor`` are sweep-group plumbing (pre-built trace set, one
-        process pool per grid); see
-        :func:`repro.simulation.runner.run_scenarios`.
-        """
-        from repro.simulation.runner import run_scenarios
-
-        return run_scenarios(
+        return Scenario(
             self.build_policies(),
             self.build_platform(),
             self.work_time,
@@ -322,11 +310,23 @@ class ScenarioSpec:
             seed=self.seed,
             include_lower_bound=self.include_lower_bound,
             include_period_lb=self.include_period_lb,
-            execution=execution,
-            progress=progress,
-            shared=shared,
-            executor=executor,
         )
+
+    def run(
+        self,
+        execution: ExecutionConfig = DEFAULT_EXECUTION,
+        progress: Callable[[int, int], None] | None = None,
+    ) -> "ScenarioResult":
+        """Execute this scenario as a one-point sweep group
+        (:func:`repro.simulation.sweep.run_scenario`).
+
+        Results are a pure function of the spec (bit-identical for any
+        ``execution`` config) — the property the content-addressed store and
+        the service's cached-resubmit contract rest on.
+        """
+        from repro.simulation.sweep import run_scenario
+
+        return run_scenario(self.build_scenario(), execution, progress)
 
 
 def expand_grid(

@@ -6,8 +6,9 @@ parallel work that the serial runner executed one (policy, trace) pair
 at a time.  :class:`ParallelRunner` fans that work out over a
 ``concurrent.futures.ProcessPoolExecutor`` in three phases:
 
-1. **trace phase** — batches of trace indices; each worker regenerates
-   its traces and runs every policy (plus the omniscient LowerBound);
+1. **trace phase** — batches of trace indices; each unit runs every
+   policy (plus the omniscient LowerBound) over its rows of the
+   scenario's trace set;
 2. **period-search phase** — batches of PeriodLB candidate periods,
    each evaluated over the search-subset traces;
 3. **winner phase** — the best period's policy over all traces.
@@ -61,26 +62,21 @@ report per-unit disk hit/miss/evict deltas, aggregated into
 With ``jobs > 1`` the replan memo is additionally **shared across
 workers**: each work unit ships the memo entries it added back to the
 parent, which merges them (:func:`repro.simulation.shm.merge_memo_delta`)
-so later phases fork warm, while the disk tier shares solves between
-workers inside a phase.
+so the next run's pool forks warm, while the disk tier shares solves
+between workers inside a run.
 
-Shared-memory trace publication (``use_shm``, default on): with
-``jobs > 1`` the parent builds the scenario's trace set with the sweep
-engine's group builder (generate all traces, compile the ensemble once,
-publish the arrays via :mod:`repro.simulation.shm`), and workers
-attach and copy out only the
-rows of their work unit instead of regenerating per task (previously a
-trace could be rebuilt once per phase).  Any publish/attach failure
-falls back silently to regeneration — bit-identical by the determinism
-anchor above, shared memory only changes who computes the traces.
-
-Sweep-shared traces (:class:`SharedTraces`): the grid sweep engine
-(:mod:`repro.simulation.sweep`) generates a group's trace set once and
-hands it to every scenario of the group via ``run(..., shared=...)`` —
-serial runs read the in-process trace list (ensemble row subsets via
-:meth:`TraceEnsemble.take`), parallel runs reuse the group's single shm
-publication.  Both channels carry the exact arrays the scenario would
-have generated itself, so sharing never changes results.
+One executor: every scenario runs as a point of a sweep group
+(:mod:`repro.simulation.sweep`), a standalone scenario as a group of
+one.  The group driver forks the pool once, builds the group's trace
+set once (generate every trace, compile the ensemble once) and, with
+``jobs > 1`` and ``use_shm`` on, publishes it to shared memory; it then
+hands each point's runner that :class:`SharedTraces` and the pool.
+Serial units read the in-process trace list (ensemble row subsets via
+:meth:`TraceEnsemble.take`), parallel units attach to the publication
+and copy out only their rows.  Every channel carries the exact arrays
+the determinism anchor defines, and any publish/attach failure (or
+``use_shm=False``) falls back to per-unit regeneration, so the channel
+only changes who computes the traces, never results.
 
 Cost-model scheduling: work units are not all equal — a trace batch
 replaying a DP policy costs orders of magnitude more than a vectorized
@@ -97,7 +93,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -117,21 +113,41 @@ from repro.simulation.batch import (
 from repro.simulation.engine import simulate_lower_bound
 from repro.traces.generation import generate_platform_traces
 
-__all__ = ["ParallelRunner", "SharedTraces"]
+__all__ = ["ParallelRunner", "Scenario", "SharedTraces"]
+
+
+@dataclass
+class Scenario:
+    """One scenario's inputs: ``policies`` replayed over ``n_traces``
+    traces of ``platform``; see
+    :func:`repro.simulation.runner.run_scenarios` for each field."""
+
+    policies: list
+    platform: Platform
+    work_time: float
+    n_traces: int
+    horizon: float
+    t0: float = 0.0
+    seed: int = 0
+    include_lower_bound: bool = True
+    include_period_lb: bool = True
+    period_lb_factors: list[float] | None = None
+    period_lb_traces: int | None = None
+    max_makespan: float = math.inf
 
 
 @dataclass
 class SharedTraces:
-    """A scenario trace set owned by someone else (the sweep engine).
+    """A sweep group's trace set, owned by the group driver.
 
     ``traces`` / ``ensemble`` are in-process references used on the
     serial path (``jobs <= 1``); ``layout`` is the shared-memory recipe
-    parallel workers attach to.  Either channel delivers exactly the
-    arrays the scenario would have generated from the determinism
-    anchor, so handing a runner a ``SharedTraces`` can never change
-    results — only who pays for generation and compilation.  The owner
-    keeps the publication alive for the runner's whole ``run()`` and
-    unlinks it afterwards.
+    parallel workers attach to (None when nothing was published).
+    Either channel delivers exactly the arrays the scenario would have
+    generated from the determinism anchor, so the channel can never
+    change results — only who pays for generation and compilation.
+    The driver keeps the publication alive for the runner's whole
+    ``run()`` and unlinks it afterwards.
     """
 
     traces: list | None = None
@@ -208,8 +224,8 @@ def _task_traces(
     """Materialize a work unit's traces + compiled ensemble.
 
     Preferred sources, in order: an in-process :class:`SharedTraces`
-    (``local``, serial sweep groups — never crosses a process
-    boundary), then the scenario's shared-memory publication
+    (``local``, serial runs — never crosses a process boundary), then
+    the group's shared-memory publication
     (``layout``) — attach, copy the unit's rows, detach.  Fallback (no
     layout, or any attach failure): regenerate from the determinism
     anchor and compile per batch, exactly the pre-shm path.  All
@@ -267,8 +283,8 @@ class _TraceTask:
     execution: ExecutionConfig
     collect_memo_delta: bool = False
     layout: object | None = None
-    # in-process trace source (sweep groups, jobs<=1); never pickled —
-    # parallel dispatch always leaves it None and uses ``layout``
+    # in-process trace source (jobs<=1); never pickled — parallel
+    # dispatch always leaves it None and uses ``layout``
     local: SharedTraces | None = None
 
 
@@ -416,7 +432,7 @@ class _PeriodTask:
     execution: ExecutionConfig
     collect_memo_delta: bool = False
     layout: object | None = None
-    # in-process trace source (sweep groups, jobs<=1); never pickled
+    # in-process trace source (jobs<=1); never pickled
     local: SharedTraces | None = None
 
 
@@ -476,8 +492,8 @@ def _chunk(items: list, size: int) -> list[list]:
 
 
 class ParallelRunner:
-    """Scenario executor: serial in process (``jobs=1``) or fanned out
-    over worker processes (``jobs>1``), with identical results.
+    """Runs one scenario's work units: in process (``jobs=1``) or on
+    the group driver's worker pool (``jobs>1``), with identical results.
 
     Parameters
     ----------
@@ -495,18 +511,17 @@ class ParallelRunner:
         scenario service for its status/stream JSON; never affects
         results.  Exceptions raised by the callback propagate.
     executor:
-        Optional externally-owned ``ProcessPoolExecutor`` to dispatch
-        on instead of spinning one pool per phase.  The sweep engine
-        passes one pool for a whole grid, amortizing worker startup
-        over every scenario; the caller owns its shutdown.  Ignored on
-        serial runs.
+        The ``ProcessPoolExecutor`` of a parallel run, forked and shut
+        down by the group driver (:mod:`repro.simulation.sweep`), which
+        hands one pool to every scenario of a sweep.  Without one, units
+        run in process.
     """
 
     def __init__(
         self,
         execution: ExecutionConfig = DEFAULT_EXECUTION,
         progress: Callable[[int, int], None] | None = None,
-        executor: ProcessPoolExecutor | None = None,
+        executor: Executor | None = None,
     ):
         self.execution = execution
         self.jobs = execution.n_jobs
@@ -540,7 +555,7 @@ class ParallelRunner:
         self._units_total += len(tasks)
         if costs is not None:
             self._sched_costs.extend(costs)
-        if self.jobs <= 1 or len(tasks) <= 1:
+        if self._executor is None or len(tasks) <= 1:
             out = []
             for t in tasks:
                 out.append(fn(t))
@@ -549,21 +564,12 @@ class ParallelRunner:
         order = list(range(len(tasks)))
         if costs is not None:
             order.sort(key=lambda i: (-costs[i], i))
-        if self._executor is not None:
-            pool, owns = self._executor, False
-        else:
-            workers = min(self.jobs, len(tasks))
-            pool, owns = ProcessPoolExecutor(max_workers=workers), True
-        try:
-            futures = {i: pool.submit(fn, tasks[i]) for i in order}
-            out = []
-            for i in range(len(tasks)):
-                out.append(futures[i].result())
-                self._unit_done()
-            return out
-        finally:
-            if owns:
-                pool.shutdown()
+        futures = {i: self._executor.submit(fn, tasks[i]) for i in order}
+        out = []
+        for i in range(len(tasks)):
+            out.append(futures[i].result())
+            self._unit_done()
+        return out
 
     def _trace_batches(
         self, indices: list[int], per_trace_cost: float = 1.0
@@ -610,103 +616,33 @@ class ParallelRunner:
 
     # -- public API ----------------------------------------------------
 
-    def run(
-        self,
-        policies: list,
-        platform: Platform,
-        work_time: float,
-        n_traces: int,
-        horizon: float,
-        t0: float = 0.0,
-        seed: int = 0,
-        include_lower_bound: bool = True,
-        include_period_lb: bool = True,
-        period_lb_factors: list[float] | None = None,
-        period_lb_traces: int | None = None,
-        max_makespan: float = math.inf,
-        shared: SharedTraces | None = None,
-    ):
-        """Run ``policies`` over ``n_traces`` generated traces; see
+    def run(self, scenario: Scenario, shared: SharedTraces):  # reprolint: disable=R6 the seed lives in the scenario (trace i = f(platform, horizon, scenario.seed, i))
+        """Run ``scenario`` over its group's trace set ``shared``; see
         :func:`repro.simulation.runner.run_scenarios` for semantics.
-
-        ``shared`` hands the runner a pre-built trace set (sweep
-        groups): generation/publication is skipped and the caller keeps
-        the backing publication alive for the duration of the call.
-        Bit-identical to self-generation by the determinism anchor.
-        """
+        The group driver keeps ``shared``'s publication alive for the
+        duration of the call."""
         # diagnostic elapsed-time only; never feeds simulation state
         start = time.perf_counter()  # reprolint: clock-ok=diagnostic elapsed time
         self._units_done = 0
         self._units_total = 0
         self._sched_costs = []
         self._sched_seconds = []
-        # Parallel runs publish the scenario's traces (and compiled
-        # ensemble) once so workers attach instead of regenerating per
-        # task — built exactly like a sweep group.  Serial runs skip it:
-        # the in-process path touches each trace exactly once.  A
-        # sweep-shared trace set short-circuits both.
-        own = None
-        if (
-            shared is None
-            and self.execution.use_shm
-            and self.jobs > 1
-            and n_traces > 0
-        ):
-            from repro.simulation import sweep
+        with using_execution(self.execution):
+            return self._run_phases(scenario, shared, start)
 
-            own = sweep._build_group(
-                platform, horizon, seed, n_traces, t0, self.execution
-            )
-            own.publish(self.execution)
-        try:
-            with using_execution(self.execution):
-                return self._run_phases(
-                    policies,
-                    platform,
-                    work_time,
-                    n_traces,
-                    horizon,
-                    t0,
-                    seed,
-                    include_lower_bound,
-                    include_period_lb,
-                    period_lb_factors,
-                    period_lb_traces,
-                    max_makespan,
-                    start,
-                    shared if own is None else own.shared,
-                    from_shared=shared is not None,
-                )
-        finally:
-            if own is not None:
-                own.close()
-
-    def _run_phases(
-        self,
-        policies,
-        platform,
-        work_time,
-        n_traces,
-        horizon,
-        t0,
-        seed,
-        include_lower_bound,
-        include_period_lb,
-        period_lb_factors,
-        period_lb_traces,
-        max_makespan,
-        start,
-        shared,
-        from_shared,
-    ):
+    def _run_phases(self, scenario: Scenario, shared: SharedTraces, start: float):
         # Imported here: runner imports this module, so a module-level
         # import would be circular.
         from repro.simulation.runner import LOWER_BOUND, PERIOD_LB, ScenarioResult
         from repro.simulation.runner import _optexp_period
 
+        policies = scenario.policies
+        platform = scenario.platform
+        work_time = scenario.work_time
+        n_traces = scenario.n_traces
         # Per-trace cost estimate drives chunk granularity and the
-        # longest-first dispatch order; the disk-tier discount is read
-        # once (it walks the tier directory) and only when an adaptive
+        # longest-first dispatch order; the disk-tier discount reads the
+        # tier's lifetime counters once, and only when an adaptive
         # policy makes it matter.
         discount = (
             _disk_discount(self.execution.use_disk_cache)
@@ -714,27 +650,28 @@ class ParallelRunner:
             else 1.0
         )
         per_trace_cost = sum(_policy_weight(p, discount) for p in policies)
-        if include_lower_bound:
+        if scenario.include_lower_bound:
             per_trace_cost += 1.0
 
         hits = misses = 0
         memo_hits = memo_misses = 0
         disk_hits = disk_misses = disk_evictions = 0
         # With several workers, each unit ships back the memo entries it
-        # added; the parent merges them so later phases fork warm, and
-        # the union of delta keys is the deduplicated miss count.
+        # added; the parent merges them so the next run's pool forks
+        # warm, and the union of delta keys is the deduplicated miss
+        # count.
         collect_delta = self.jobs > 1 and self.execution.use_memo
-        layout = shared.layout if shared is not None else None
+        layout = shared.layout
         # the in-process trace list only serves serial runs; parallel
         # units read the shm layout (or regenerate)
-        local = shared if shared is not None and self.jobs <= 1 else None
+        local = shared if self.jobs <= 1 else None
         unit_kw = dict(
             platform=platform,
             work_time=work_time,
-            horizon=horizon,
-            t0=t0,
-            seed=seed,
-            max_makespan=max_makespan,
+            horizon=scenario.horizon,
+            t0=scenario.t0,
+            seed=scenario.seed,
+            max_makespan=scenario.max_makespan,
             execution=self.execution,
             collect_memo_delta=collect_delta,
             layout=layout,
@@ -762,7 +699,7 @@ class ParallelRunner:
             _TraceTask(
                 indices=batch,
                 policies=policies,
-                include_lower_bound=include_lower_bound,
+                include_lower_bound=scenario.include_lower_bound,
                 **unit_kw,
             )
             for batch in self._trace_batches(indices, per_trace_cost)
@@ -792,21 +729,21 @@ class ParallelRunner:
                     lb_spans[index] = span
         for name in infeasible:
             infeasible[name].sort()
-        if include_lower_bound:
+        if scenario.include_lower_bound:
             makespans[LOWER_BOUND] = lb_spans
 
         best_period = math.nan
-        if include_period_lb:
+        if scenario.include_period_lb:
             from repro.policies.periodlb import candidate_factors
 
             factors = (
-                period_lb_factors
-                if period_lb_factors is not None
+                scenario.period_lb_factors
+                if scenario.period_lb_factors is not None
                 else candidate_factors()
             )
             base = _optexp_period(platform, work_time)
             periods = np.asarray(sorted(base * np.asarray(factors, dtype=float)))
-            subset = indices[: (period_lb_traces or n_traces)]
+            subset = indices[: (scenario.period_lb_traces or n_traces)]
             per_unit = max(
                 1, math.ceil(periods.size / max(1, self.jobs * 2))
             )
@@ -847,13 +784,12 @@ class ParallelRunner:
                     lb_period_spans[index] = span
             makespans[PERIOD_LB] = lb_period_spans
 
-        # Shared traces count as reused only when a sharing channel was
-        # actually wired up: the in-process list (serial) or the group's
-        # shm layout (parallel) — jobs>1 without a layout regenerates.
-        trace_gen_reused = from_shared and (local is not None or layout is not None)
+        # The group's set counts as reused when the units read it: the
+        # in-process list (serial) or the shm layout (parallel) — jobs>1
+        # without a layout regenerates per unit.
+        trace_gen_reused = local is not None or layout is not None
         ensemble_reused = bool(
-            trace_gen_reused
-            and self.execution.use_batch
+            self.execution.use_batch
             and (
                 (local is not None and local.ensemble is not None)
                 or (layout is not None and getattr(layout, "has_ensemble", False))

@@ -6,14 +6,15 @@ every heuristic on every trace, add the omniscient ``LowerBound`` and the
 searched ``PeriodLB``, and hand the per-trace makespans to
 :mod:`repro.analysis` for the degradation-from-best statistic.
 
-Execution is delegated to
-:class:`repro.simulation.parallel.ParallelRunner`: ``jobs=1`` runs the
-work units in process, ``jobs>1`` fans them out over worker processes
-with bit-identical results (trace ``i`` is always generated from
-``SeedSequence([seed, i])``, independent of batching).  How the work
-executes — worker count, caches, batch replay, shared memory — is one
-frozen :class:`~repro.execution.ExecutionConfig` passed as
-``execution``.
+A scenario runs on the one executor of :mod:`repro.simulation.sweep`
+as a sweep group of one point: the group driver builds the trace set
+once for every phase and runs the point's
+:class:`~repro.simulation.parallel.ParallelRunner`, in process for
+``jobs=1`` or on one worker pool for ``jobs>1``, with bit-identical
+results (trace ``i`` is always generated from ``SeedSequence([seed,
+i])``, independent of batching).  How the work executes — worker
+count, caches, batch replay, shared memory — is one frozen
+:class:`~repro.execution.ExecutionConfig` passed as ``execution``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class ScenarioResult:
     best_period:
         The winning PeriodLB period (``NaN`` when the search was off).
     elapsed:
-        Wall-clock seconds spent executing the scenario.
+        Wall-clock seconds spent executing the scenario; a standalone
+        run includes building its trace set, a sweep point does not
+        (its group's ``build_seconds`` holds that).
     n_jobs:
         Worker processes used (1 = in-process serial).
     cache_hits / cache_misses:
@@ -88,10 +91,11 @@ class ScenarioResult:
         during the run, aggregated over all workers; all zero when the
         tier is disabled (``use_disk_cache=False``).
     trace_gen_reused / ensemble_reused:
-        True when the run consumed a sweep group's shared trace set /
+        True when the work units read their group's trace set /
         compiled ensemble (:mod:`repro.simulation.sweep`) instead of
-        generating or compiling its own.  Execution metadata only —
-        never part of the comparable result payload.
+        regenerating or recompiling per unit (which a parallel run
+        without a shared-memory publication does).  Execution metadata
+        only — never part of the comparable result payload.
     scheduler:
         Cost-model dispatch diagnostics: unit count, estimated-cost
         max/mean/imbalance and measured per-unit seconds (see
@@ -180,8 +184,6 @@ def run_scenarios(
     max_makespan: float = math.inf,
     execution: ExecutionConfig = DEFAULT_EXECUTION,
     progress: Callable[[int, int], None] | None = None,
-    shared=None,
-    executor=None,
 ) -> ScenarioResult:
     """Run ``policies`` over ``n_traces`` freshly generated traces.
 
@@ -198,18 +200,16 @@ def run_scenarios(
     memo, shared-memory publication and disk solve tier on or off.
     Per-trace results are bit-identical across all of them.
     ``progress`` is an optional ``(done, total)`` work-unit callback
-    (see :class:`~repro.simulation.parallel.ParallelRunner`).
-    ``shared`` hands the runner a pre-built
-    :class:`~repro.simulation.parallel.SharedTraces` (sweep groups) and
-    ``executor`` an externally-owned process pool — both are execution
-    plumbing that cannot change results.
+    (see :class:`~repro.simulation.parallel.ParallelRunner`).  The run
+    is a one-point sweep group
+    (:func:`repro.simulation.sweep.run_scenario`).
     """
     # Imported here: parallel drives the engine and policies, so a
     # module-level import would be circular through the package inits.
-    from repro.simulation.parallel import ParallelRunner
+    from repro.simulation.parallel import Scenario
+    from repro.simulation.sweep import run_scenario
 
-    runner = ParallelRunner(execution, progress=progress, executor=executor)
-    return runner.run(
+    scenario = Scenario(
         policies,
         platform,
         work_time,
@@ -222,5 +222,5 @@ def run_scenarios(
         period_lb_factors=period_lb_factors,
         period_lb_traces=period_lb_traces,
         max_makespan=max_makespan,
-        shared=shared,
     )
+    return run_scenario(scenario, execution, progress)

@@ -1,14 +1,14 @@
-"""Grid sweep engine: shared-trace planning over many scenarios.
+"""The one executor: every scenario runs as a point of a sweep group.
 
 The paper's simulation study (Sections 4-6) is a *grid*: policies x
 period candidates x distributions x platforms, all replayed over the
 same failure traces.  Executing each grid point as an independent
-scenario (PR-1..9 path) regenerates the trace set, recompiles the
-:class:`~repro.simulation.batch.TraceEnsemble` and republishes shared
+scenario would regenerate the trace set, recompile the
+:class:`~repro.simulation.batch.TraceEnsemble` and republish shared
 memory once per point — for a 24-point sweep over one platform that is
 24x the dominant fixed cost for identical bytes.
 
-This module plans and executes the grid as a whole:
+This module plans and executes scenarios in groups:
 
 1. **Expand** — :func:`repro.service.expand_grid` turns a base spec +
    axis lists into validated :class:`~repro.service.spec.ScenarioSpec`
@@ -19,29 +19,32 @@ This module plans and executes the grid as a whole:
    trace count, horizon, recovery, t0).  Policies, checkpoint cost and
    work only shape the *replay*, so e.g. a checkpoint-cost axis or a
    policy axis collapses into one group.
-3. **Execute** (:func:`run_sweep`) — each group's traces are generated
-   **once**, its ensemble compiled once, and (with ``jobs > 1`` and
-   shm enabled) published to shared memory once; every point of the
-   group runs over that single
-   :class:`~repro.simulation.parallel.SharedTraces`.  One process pool
-   serves the whole sweep, and a one-ahead prefetch thread builds the
-   *next* group's trace set and ensemble while the current group
-   replays, so workers never idle on generation between groups.  The
-   next group is published only after the current group's segment is
-   closed, so at most one group's segment is mapped at a time.
+3. **Execute** (:func:`_run_groups`, the one driver) — the driver forks
+   one process pool (``jobs > 1``) before any trace set exists, so
+   workers attach to shared memory instead of inheriting trace sets.
+   Each group's traces are then generated **once**, its ensemble
+   compiled once, and (with ``jobs > 1`` and shm enabled) published to
+   shared memory once; every point of the group runs on a
+   :class:`~repro.simulation.parallel.ParallelRunner` over that single
+   :class:`~repro.simulation.parallel.SharedTraces` and the one pool.
+   A one-ahead prefetch thread builds the *next* group's trace set and
+   ensemble while the current group replays.  The next group is
+   published only after the current group's segment is closed, so at
+   most one group's segment is mapped at a time.
+
+:func:`run_sweep` maps a spec list to groups; :func:`run_scenario`
+(behind :func:`~repro.simulation.runner.run_scenarios` and
+:meth:`ScenarioSpec.run <repro.service.spec.ScenarioSpec.run>`) runs a
+standalone scenario as a group of one point, and the service queue
+runs jobs and batches through :func:`run_sweep`.  There is no second
+path.
 
 Bit-identity: trace ``i`` is a pure function of ``(platform, horizon,
 seed, i)`` (the determinism anchor), and a row subset of the group
 ensemble is replay-equivalent to compiling the subset alone — so a
 sweep's per-point results are bit-identical to N independent
-``run_scenarios`` calls.  ``ExecutionConfig.use_sweep_plan=False`` is
-the escape hatch: it runs every point as an independent scenario,
-which is both the reference for identity tests and the fallback if
-shared planning ever misbehaves.
-
-:func:`_build_group` is the one trace-set builder: a parallel
-:class:`~repro.simulation.parallel.ParallelRunner` that owns its
-scenario builds and publishes it the same way.
+``run_scenarios`` calls.  The tests hold that reference
+(``[spec.run(execution) for spec in specs]``).
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.execution import DEFAULT_EXECUTION, ExecutionConfig
+from repro.simulation import parallel as _parallel
 from repro.simulation import shm as _shm
 from repro.simulation.batch import TraceEnsemble
-from repro.simulation.parallel import SharedTraces, _job_trace
+from repro.simulation.parallel import Scenario, SharedTraces, _job_trace
 from repro.units import MINUTE
 
 __all__ = [
@@ -64,6 +68,7 @@ __all__ = [
     "SweepPlan",
     "SweepResult",
     "plan_sweep",
+    "run_scenario",
     "run_sweep",
     "trace_signature",
 ]
@@ -157,7 +162,6 @@ class SweepResult:
     counters: dict = field(default_factory=dict)
     elapsed: float = math.nan
     n_jobs: int = 1
-    sweep_planned: bool = True
 
     def scheduler_summary(self) -> dict[str, Any]:
         """Aggregate scheduler imbalance over every point that
@@ -198,9 +202,9 @@ class _GroupResources:
     """One group's shared trace set + the shm publication backing it.
 
     Built (possibly on the prefetch thread) without shared memory; the
-    sweep loop calls :meth:`publish` on the main thread right before
-    the group replays and :meth:`close` when it finishes, so at most
-    one group's segment is mapped at any time."""
+    driver calls :meth:`publish` on its own thread right before the
+    group replays and :meth:`close` when it finishes, so at most one
+    group's segment is mapped at any time."""
 
     shared: SharedTraces
     scenario: dict[str, Any]
@@ -232,26 +236,31 @@ class _GroupResources:
             self.publication = None
 
 
-def _build_group(
-    platform, horizon: float, seed: int, n_traces: int, t0: float,
-    execution: ExecutionConfig,
-) -> _GroupResources:
-    """Generate one trace set and compile its ensemble (unpublished:
+def _build_group(scenario: Scenario, execution: ExecutionConfig) -> _GroupResources:
+    """Generate the trace set of ``scenario``'s group (every member
+    shares its trace signature) and compile its ensemble (unpublished:
     see :meth:`_GroupResources.publish`)."""
     build_start = time.perf_counter()  # reprolint: clock-ok=sweep build diagnostics
-    traces = [_job_trace(platform, horizon, seed, i) for i in range(n_traces)]
-    if execution.use_batch:
-        ensemble = TraceEnsemble(traces, platform.recovery, t0)
-    else:
-        ensemble = None
+    platform = scenario.platform
+    traces: list | None = None
+    ensemble: TraceEnsemble | None = None
+    # parallel units without shared memory regenerate their own rows,
+    # so nothing would read an in-process set
+    if execution.use_shm or execution.n_jobs <= 1:
+        traces = [
+            _job_trace(platform, scenario.horizon, scenario.seed, i)
+            for i in range(scenario.n_traces)
+        ]
+        if execution.use_batch:
+            ensemble = TraceEnsemble(traces, platform.recovery, scenario.t0)
     return _GroupResources(
         shared=SharedTraces(traces=traces, ensemble=ensemble),
         scenario=dict(
             n_units=platform.num_nodes,
             downtime=platform.downtime,
-            horizon=horizon,
+            horizon=scenario.horizon,
             recovery=platform.recovery,
-            t0=t0,
+            t0=scenario.t0,
         ),
         build_seconds=time.perf_counter() - build_start,  # reprolint: clock-ok=sweep build diagnostics
     )
@@ -268,7 +277,7 @@ def _start_prefetch(build: Callable[[], _GroupResources]):
     def work() -> None:
         try:
             box["resources"] = build()
-        except BaseException as exc:  # consumer re-raises on the main thread
+        except BaseException as exc:  # the driver re-raises it on its thread
             box["error"] = exc
 
     thread = threading.Thread(
@@ -278,13 +287,117 @@ def _start_prefetch(build: Callable[[], _GroupResources]):
     return thread, box
 
 
-def _build_spec_group(spec, execution: ExecutionConfig) -> _GroupResources:
-    """:func:`_build_group` for a group's first spec (every member
-    shares the trace signature)."""
-    return _build_group(
-        spec.build_platform(), spec.effective_horizon, spec.seed,
-        spec.n_traces, spec.t0, execution,
+def _run_groups(
+    groups: Sequence[Sequence[int]],
+    scenario: Callable[[int], Scenario],
+    execution: ExecutionConfig,
+    on_point_start: Callable[[int], None] | None = None,
+    on_point_done: Callable[[int, Any], None] | None = None,
+    point_progress: Callable[[int, int, int], None] | None = None,
+) -> tuple[list, list[dict]]:
+    """The one executor: run every point of ``groups`` (point indices,
+    execution order) and return ``(results by point index,
+    per-group stats)``.
+
+    ``scenario(i)`` builds point ``i``'s inputs; it is called when the
+    point runs (and once more for a group's first point, to build the
+    trace set), so policy instances live only while their point runs.
+    The driver owns the whole lifecycle: it forks the pool once
+    (``jobs > 1``) before any trace set exists, builds each group
+    (prefetching the next one on a background thread), publishes and
+    closes its shared memory, and runs the group's points on that one
+    trace set and pool.  Callbacks: ``on_point_start(i)`` /
+    ``on_point_done(i, result)`` around each point and
+    ``point_progress(i, done, total)`` per work unit; none affect
+    results and their exceptions propagate.
+    """
+    results: list = [None] * sum(len(group) for group in groups)
+    group_stats: list[dict] = []
+    jobs_n = execution.n_jobs
+    executor = ProcessPoolExecutor(max_workers=jobs_n) if jobs_n > 1 else None
+    pending: tuple | None = None  # (thread, box) of the next group's build
+    try:
+        if executor is not None:
+            # fork the workers now, before any group's trace set exists
+            # and before the prefetch thread starts: they attach to shm
+            # instead of inheriting (and holding resident) trace sets
+            executor.submit(int).result()
+        for gi, group in enumerate(groups):
+            if pending is None:
+                resources = _build_group(scenario(group[0]), execution)
+            else:
+                thread, box = pending
+                thread.join()
+                pending = None
+                if "error" in box:
+                    raise box["error"]
+                resources = box["resources"]
+                resources.prefetched = True
+            if gi + 1 < len(groups):
+                first = groups[gi + 1][0]
+                pending = _start_prefetch(
+                    lambda i=first: _build_group(scenario(i), execution)
+                )
+            shm_bytes = 0
+            try:
+                # the previous group's segment is closed by now
+                resources.publish(execution)
+                if resources.publication is not None:
+                    shm_bytes = resources.publication.nbytes
+                for index in group:
+                    if on_point_start is not None:
+                        on_point_start(index)
+                    progress = None
+                    if point_progress is not None:
+                        progress = (
+                            lambda d, t, i=index: point_progress(i, d, t)
+                        )
+                    runner = _parallel.ParallelRunner(
+                        execution, progress=progress, executor=executor
+                    )
+                    results[index] = runner.run(scenario(index), resources.shared)
+                    if on_point_done is not None:
+                        on_point_done(index, results[index])
+            finally:
+                resources.close()
+            first_result = results[group[0]]
+            group_stats.append({
+                "n_points": len(group),
+                "point_indices": list(group),
+                "trace_gen_reused": bool(first_result.trace_gen_reused),
+                "ensemble_reused": bool(first_result.ensemble_reused),
+                "shm": resources.shared.layout is not None,
+                "shm_bytes": shm_bytes,
+                "build_seconds": resources.build_seconds,
+                "prefetched": resources.prefetched,
+            })
+    finally:
+        if pending is not None:
+            # an unconsumed prefetch holds no segment; just let it end
+            pending[0].join(timeout=MINUTE)
+        if executor is not None:
+            executor.shutdown()
+    return results, group_stats
+
+
+def run_scenario(  # reprolint: disable=R6 the seed lives in the scenario (trace i = f(platform, horizon, scenario.seed, i))
+    scenario: Scenario,
+    execution: ExecutionConfig = DEFAULT_EXECUTION,
+    progress: Callable[[int, int], None] | None = None,
+):
+    """Run one scenario as a one-point group; ``progress(done,
+    total)`` ticks per work unit.  Its ``elapsed`` covers the whole
+    run, building its trace set included."""
+    start = time.perf_counter()  # reprolint: clock-ok=diagnostic elapsed time
+    point_progress = None
+    if progress is not None:
+        point_progress = lambda _i, done, total: progress(done, total)  # noqa: E731
+    results, _stats = _run_groups(
+        [(0,)], lambda _i: scenario, execution, point_progress=point_progress
     )
+    result = results[0]
+    result.elapsed = time.perf_counter() - start  # reprolint: clock-ok=diagnostic elapsed time
+    return result
 
 
 def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (trace i = f(platform, horizon, spec.seed, i))
@@ -297,12 +410,10 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
 ) -> SweepResult:
     """Execute a list of :class:`ScenarioSpec` points as one sweep.
 
-    With ``execution.use_sweep_plan`` (default) points are grouped by
-    trace signature and each group replays over one shared trace set /
-    ensemble / shm publication, with one process pool serving the whole
-    sweep and the next group's traces prefetched in the background.
-    With ``use_sweep_plan=False`` every point runs as an independent
-    scenario — the bit-identical reference path (``--no-sweep-plan``).
+    Points are grouped by trace signature and each group replays over
+    one shared trace set / ensemble / shm publication, with one process
+    pool serving the whole sweep and the next group's traces prefetched
+    in the background (see :func:`_run_groups`).
 
     Callbacks: ``progress(done_points, total_points)`` after each point;
     ``on_point_start(i)`` / ``on_point_done(i, result)`` around each
@@ -315,107 +426,29 @@ def run_sweep(  # reprolint: disable=R6 each point's seed lives in its spec (tra
 
     specs = list(specs)
     plan = plan_sweep(specs)
-    results: list = [None] * len(specs)
     done = 0
 
-    def _point_progress(index: int):
-        if point_progress is None:
-            return None
-        return lambda d, t: point_progress(index, d, t)
-
-    def _run_point(index: int, shared=None, executor=None):
+    def point_done(index: int, result: Any) -> None:
         nonlocal done
-        if on_point_start is not None:
-            on_point_start(index)
-        result = specs[index].run(
-            execution=execution,
-            progress=_point_progress(index),
-            shared=shared,
-            executor=executor,
-        )
-        results[index] = result
         done += 1
         if on_point_done is not None:
             on_point_done(index, result)
         if progress is not None:
             progress(done, len(specs))
-        return result
 
-    jobs_n = execution.n_jobs
-    if not execution.use_sweep_plan:
-        # reference path: N independent scenario runs, exactly what a
-        # loop of `repro run` calls would execute
-        for index in range(len(specs)):
-            _run_point(index)
-        return SweepResult(
-            results=results,
-            plan=plan,
-            group_stats=[],
-            counters=aggregate_counters(results),
-            elapsed=time.perf_counter() - sweep_start,  # reprolint: clock-ok=diagnostic elapsed time
-            n_jobs=jobs_n,
-            sweep_planned=False,
-        )
-
-    group_stats: list[dict] = []
-    executor = ProcessPoolExecutor(max_workers=jobs_n) if jobs_n > 1 else None
-    pending: tuple | None = None  # (thread, box) of the next group's build
-    try:
-        if executor is not None:
-            # fork the workers now, before any group's trace set exists
-            # and before the prefetch thread starts: they attach to shm
-            # instead of inheriting (and holding resident) trace sets
-            executor.submit(int).result()
-        for gi, group in enumerate(plan.groups):
-            if pending is None:
-                resources = _build_spec_group(specs[group.indices[0]], execution)
-            else:
-                thread, box = pending
-                thread.join()
-                pending = None
-                if "error" in box:
-                    raise box["error"]
-                resources = box["resources"]
-                resources.prefetched = True
-            if gi + 1 < len(plan.groups):
-                next_spec = specs[plan.groups[gi + 1].indices[0]]
-                pending = _start_prefetch(
-                    lambda spec=next_spec: _build_spec_group(spec, execution)
-                )
-            shm_bytes = 0
-            try:
-                # the previous group's segment is closed by now
-                resources.publish(execution)
-                if resources.publication is not None:
-                    shm_bytes = resources.publication.nbytes
-                for index in group.indices:
-                    _run_point(index, shared=resources.shared, executor=executor)
-            finally:
-                resources.close()
-            first = results[group.indices[0]]
-            group_stats.append({
-                "n_points": len(group.indices),
-                "point_indices": list(group.indices),
-                "trace_gen_reused": bool(first.trace_gen_reused),
-                "ensemble_reused": bool(first.ensemble_reused),
-                "shm": resources.shared.layout is not None,
-                "shm_bytes": shm_bytes,
-                "build_seconds": resources.build_seconds,
-                "prefetched": resources.prefetched,
-            })
-    finally:
-        if pending is not None:
-            # an unconsumed prefetch holds no segment; just let it end
-            pending[0].join(timeout=MINUTE)
-        if executor is not None:
-            executor.shutdown()
-
+    results, group_stats = _run_groups(
+        [group.indices for group in plan.groups],
+        lambda i: specs[i].build_scenario(),
+        execution,
+        on_point_start=on_point_start,
+        on_point_done=point_done,
+        point_progress=point_progress,
+    )
     return SweepResult(
         results=results,
         plan=plan,
         group_stats=group_stats,
         counters=aggregate_counters(results),
         elapsed=time.perf_counter() - sweep_start,  # reprolint: clock-ok=diagnostic elapsed time
-        n_jobs=jobs_n,
-        sweep_planned=True,
+        n_jobs=execution.n_jobs,
     )

@@ -73,7 +73,6 @@ class TestParser:
         ("use_memo", "--no-memo"),
         ("use_shm", "--no-shm"),
         ("use_disk_cache", "--no-disk-cache"),
-        ("use_sweep_plan", "--no-sweep-plan"),
     ])
     def test_execution_flags_build_one_config(self, field, flag):
         from repro.execution import ExecutionConfig

@@ -152,7 +152,7 @@ class TestExecutionConfig:
         cfg = ExecutionConfig()
         assert cfg.jobs == 1 and cfg.use_cache is True
         assert cfg.use_memo is True and cfg.use_shm is True
-        assert cfg.use_sweep_plan is True
+        assert cfg.use_disk_cache is True
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.jobs = 2  # type: ignore[misc]
 
@@ -210,8 +210,9 @@ class TestExecutionConfig:
 
         def run(execution, progress):
             try:
-                ParallelRunner(execution, progress=progress).run(
-                    policies(), platform, **kw
+                run_scenarios(
+                    policies(), platform, execution=execution,
+                    progress=progress, **kw
                 )
             except BaseException as exc:  # surfaced on the main thread
                 errors.append(exc)

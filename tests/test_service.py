@@ -242,20 +242,20 @@ class TestJobQueue:
             # a job that blocks lets the duplicate arrive while live
             blocker = ScenarioSpec(**TINY)
             release = threading.Event()
-            original_run = ScenarioSpec.run
+            original_build = ScenarioSpec.build_scenario
 
-            def slow_run(self, **kwargs):
+            def slow_build(self):
                 release.wait(30)
-                return original_run(self, **kwargs)
+                return original_build(self)
 
-            ScenarioSpec.run = slow_run  # type: ignore[method-assign]
+            ScenarioSpec.build_scenario = slow_build  # type: ignore[method-assign]
             try:
                 a = q.submit(blocker)
                 b = q.submit(blocker)
                 assert a.job_id == b.job_id  # coalesced
             finally:
                 release.set()
-                ScenarioSpec.run = original_run  # type: ignore[method-assign]
+                ScenarioSpec.build_scenario = original_build  # type: ignore[method-assign]
             assert q.wait(a.job_id, timeout=120)
         finally:
             q.shutdown()
@@ -274,20 +274,20 @@ class TestJobQueue:
         q = JobQueue(store=store, workers=1)
         try:
             release = threading.Event()
-            original_run = ScenarioSpec.run
+            original_build = ScenarioSpec.build_scenario
 
-            def slow_run(self, **kwargs):
+            def slow_build(self):
                 release.wait(30)
-                return original_run(self, **kwargs)
+                return original_build(self)
 
-            ScenarioSpec.run = slow_run  # type: ignore[method-assign]
+            ScenarioSpec.build_scenario = slow_build  # type: ignore[method-assign]
             try:
                 job = q.submit(ScenarioSpec(**TINY))
                 with pytest.raises(LookupError):
                     q.result(job.job_id)
             finally:
                 release.set()
-                ScenarioSpec.run = original_run  # type: ignore[method-assign]
+                ScenarioSpec.build_scenario = original_build  # type: ignore[method-assign]
             q.wait(job.job_id, timeout=120)
         finally:
             q.shutdown()
@@ -308,7 +308,7 @@ class TestJobQueue:
             ExecutionConfig.from_dict(raw)
 
     def test_execution_round_trips(self):
-        cfg = ExecutionConfig(jobs=3, use_memo=False, use_sweep_plan=False)
+        cfg = ExecutionConfig(jobs=3, use_memo=False, use_shm=False)
         assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
         assert ExecutionConfig.from_dict(None) == ExecutionConfig()
 
@@ -423,10 +423,10 @@ class TestBatchQueue:
             q.shutdown()
 
     def test_member_failure_marks_batch_failed(self, store, monkeypatch):
-        def boom(self, **kwargs):
+        def boom(self):
             raise RuntimeError("solver exploded")
 
-        monkeypatch.setattr(ScenarioSpec, "run", boom)
+        monkeypatch.setattr(ScenarioSpec, "build_scenario", boom)
         q = JobQueue(store=store, workers=1)
         try:
             batch = q.submit_batch(self._grid())
@@ -451,25 +451,26 @@ class TestBatchQueue:
 
     def test_no_sweep_plan_batch_still_bit_identical(self, store,
                                                      tmp_path):
+        """A parallel batch (one pool, shared-memory groups) against
+        the independent reference: every point submitted as its own
+        serial job."""
         from repro.service.serialize import comparable_result_payload
 
         specs = self._grid()
-        q = JobQueue(store=store, workers=1)
+        solo = JobQueue(store=store, workers=1)
         try:
-            batch = q.submit_batch(
-                specs, ExecutionConfig(use_sweep_plan=False)
-            )
-            assert batch.plan["use_sweep_plan"] is False
-            assert q.wait_batch(batch.batch_id, timeout=120)
-            a = [json.dumps(comparable_result_payload(q.result(j)),
-                            sort_keys=True) for j in batch.job_ids]
+            jobs = [solo.submit(spec) for spec in specs]
+            for job in jobs:
+                assert solo.wait(job.job_id, timeout=120)
+            a = [json.dumps(comparable_result_payload(solo.result(j.job_id)),
+                            sort_keys=True) for j in jobs]
         finally:
-            q.shutdown()
+            solo.shutdown()
         planned = JobQueue(
             store=ResultStore(tmp_path / "planned-store"), workers=1
         )
         try:
-            other = planned.submit_batch(specs)
+            other = planned.submit_batch(specs, ExecutionConfig(jobs=2))
             assert planned.wait_batch(other.batch_id, timeout=120)
             b = [json.dumps(comparable_result_payload(planned.result(j)),
                             sort_keys=True) for j in other.job_ids]
@@ -661,21 +662,36 @@ class TestDaemonBatches:
         assert env["ok"] is False
 
     def test_top_level_use_sweep_plan_is_http_400(self, client):
+        """The retired sweep-plan switch is an unknown top-level key."""
         env = client.request("POST", "/v1/batches", {
             "specs": [dict(TINY)], "use_sweep_plan": False,
         })
         assert env["ok"] is False
         assert env["exit_code"] == 2
-        assert "execution.use_sweep_plan" in env["error"]["message"]
+        assert "'use_sweep_plan'" in env["error"]["message"]
 
-    def test_use_sweep_plan_inside_execution(self, client):
+    def test_use_sweep_plan_inside_execution_is_http_400(self, client):
+        """The retired sweep-plan switch is an unknown execution key."""
         env = client.submit_batch(
             specs=[dict(TINY)], execution={"use_sweep_plan": False}
         )
-        assert env["ok"] is True
-        assert env["data"]["plan"]["use_sweep_plan"] is False
-        final = client.wait_batch(env["data"]["batch_id"], timeout=120)
-        assert final["data"]["state"] == "done"
+        assert env["ok"] is False
+        assert env["exit_code"] == 2
+        assert "unknown execution key 'use_sweep_plan'" in \
+            env["error"]["message"]
+
+    @pytest.mark.parametrize("path,body", [
+        ("/v1/jobs", {"spec": dict(TINY), "exection": {"jobs": 4}}),
+        ("/v1/batches", {"specs": [dict(TINY)], "exection": {"jobs": 4}}),
+    ], ids=["jobs", "batches"])
+    def test_unknown_top_level_key_is_http_400(self, client, path, body):
+        """A misspelled key must not run silently with the defaults."""
+        env = client.request("POST", path, body)
+        assert env["ok"] is False
+        assert env["exit_code"] == 2
+        assert env["error"]["type"] == "ValueError"
+        assert "'exection'" in env["error"]["message"]
+        assert client.jobs()["data"]["jobs"] == []
 
     def test_unknown_batch_is_http_404(self, client):
         env = client.batch_status("batch-999999")

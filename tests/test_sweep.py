@@ -1,10 +1,12 @@
 """Grid sweep engine: expansion, trace-signature planning, execution.
 
-The acceptance property of the PR-10 sweep engine lives here: a grid
+The acceptance property of the sweep engine lives here: a grid
 executed through :func:`run_sweep`'s shared-trace plan is **bit
 identical** (comparable result payload under canonical JSON) to running
-every point as an independent scenario — across the shm / memo /
-disk-cache execution knobs and across worker counts.
+every point as an independent scenario (``[spec.run(execution) for spec
+in specs]``, the reference) — across the shm / memo / disk-cache
+execution knobs and across worker counts.  It also pins the one-executor
+shape: a standalone scenario is a one-point group with one pool.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.service.serialize import (
 )
 from repro.service.spec import ScenarioSpec, SpecError, expand_grid
 from repro.simulation.sweep import plan_sweep, run_sweep, trace_signature
+from repro.units import DAY, HOUR
 
 TINY = dict(work=7200.0, mtbf=14400.0, n_traces=2,
             policies=("young", "dalylow"))
@@ -155,25 +158,20 @@ class TestRunSweepIdentity:
     )
     def test_12_point_grid_bit_identical_to_independent_runs(self, knobs):
         specs = _grid_12()
-        reference = run_sweep(
-            specs, ExecutionConfig(jobs=1, use_sweep_plan=False, **knobs)
-        )
-        sweep = run_sweep(
-            specs, ExecutionConfig(jobs=1, use_sweep_plan=True, **knobs)
-        )
-        assert reference.sweep_planned is False
-        assert sweep.sweep_planned is True
+        execution = ExecutionConfig(jobs=1, **knobs)
+        reference = [spec.run(execution) for spec in specs]
+        sweep = run_sweep(specs, execution)
         assert [_payload_json(r) for r in sweep.results] == \
-            [_payload_json(r) for r in reference.results]
+            [_payload_json(r) for r in reference]
 
     @pytest.mark.slow
     def test_parallel_sweep_bit_identical_with_shm(self):
         specs = _grid_12()
-        reference = run_sweep(specs, ExecutionConfig(use_sweep_plan=False))
+        reference = [spec.run(ExecutionConfig()) for spec in specs]
         sweep = run_sweep(specs, ExecutionConfig(jobs=2, use_shm=True))
         assert sweep.n_jobs == 2
         assert [_payload_json(r) for r in sweep.results] == \
-            [_payload_json(r) for r in reference.results]
+            [_payload_json(r) for r in reference]
 
 
 class TestRunSweepReporting:
@@ -246,13 +244,6 @@ class TestRunSweepReporting:
         run_sweep(specs, ExecutionConfig(jobs=2, use_shm=True))
         assert alive == [2, 2]
 
-    def test_reference_path_reuses_nothing(self):
-        sweep = run_sweep(_grid_12()[:2], ExecutionConfig(use_sweep_plan=False))
-        assert sweep.group_stats == []
-        for result in sweep.results:
-            assert result.trace_gen_reused is False
-            assert result.ensemble_reused is False
-
     def test_counters_roll_up_over_all_points(self):
         sweep = run_sweep(_grid_12(), ExecutionConfig(jobs=1))
         assert sweep.counters["scenarios"] == 12
@@ -287,6 +278,89 @@ class TestRunSweepReporting:
         assert all(r is not None for r in sweep.results)
 
 
+class TestOneExecutor:
+    """A standalone scenario runs as a one-point sweep group: one pool
+    for every phase, forked before its one trace-set build."""
+
+    @staticmethod
+    def _run(execution):
+        from repro.cluster.models import ConstantOverhead, Platform
+        from repro.distributions import Weibull
+        from repro.policies import Young
+        from repro.simulation.runner import run_scenarios
+
+        platform = Platform(p=4, dist=Weibull.from_mtbf(12 * HOUR, 0.7),
+                            downtime=60.0, overhead=ConstantOverhead(600.0))
+        return run_scenarios(
+            [Young()], platform, work_time=DAY, n_traces=6,
+            horizon=200 * DAY, seed=7, include_period_lb=True,
+            period_lb_factors=[0.5, 1.0, 2.0], execution=execution,
+        )
+
+    @staticmethod
+    def _record_builds(monkeypatch) -> list[tuple[int, float, object]]:
+        """(live worker processes, seconds, resources) per
+        ``_build_group`` call."""
+        import multiprocessing
+        import time
+
+        from repro.simulation import sweep as sweep_mod
+
+        build = sweep_mod._build_group
+        calls: list[tuple[int, float, object]] = []
+
+        def recording_build(*args, **kwargs):
+            alive = len(multiprocessing.active_children())
+            start = time.perf_counter()
+            out = build(*args, **kwargs)
+            calls.append((alive, time.perf_counter() - start, out))
+            return out
+
+        monkeypatch.setattr(sweep_mod, "_build_group", recording_build)
+        return calls
+
+    def test_parallel_run_constructs_one_pool(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        made: list[int] = []
+        init = ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        result = self._run(ExecutionConfig(jobs=2))
+        # trace, period-search and winner phases all dispatched units
+        assert result.scheduler["units"] > 3
+        assert len(made) == 1
+
+    def test_workers_fork_before_the_trace_set_is_built(self, monkeypatch):
+        builds = self._record_builds(monkeypatch)
+        result = self._run(ExecutionConfig(jobs=2, use_shm=True))
+        assert [alive for alive, _, _ in builds] == [2]
+        assert result.trace_gen_reused is True
+        assert result.ensemble_reused is True
+
+    def test_parallel_run_without_shm_builds_no_unread_set(self, monkeypatch):
+        """Without shared memory parallel units regenerate their rows,
+        so the driver generates no in-process set for them."""
+        builds = self._record_builds(monkeypatch)
+        result = self._run(ExecutionConfig(jobs=2, use_shm=False))
+        assert [res.shared.traces for _, _, res in builds] == [None]
+        assert result.trace_gen_reused is False
+        assert _payload_json(result) == _payload_json(
+            self._run(ExecutionConfig(jobs=1))
+        )
+
+    def test_serial_run_builds_once_and_counts_the_build(self, monkeypatch):
+        builds = self._record_builds(monkeypatch)
+        result = self._run(ExecutionConfig(jobs=1))
+        assert [alive for alive, _, _ in builds] == [0]
+        assert result.trace_gen_reused is True
+        assert result.elapsed >= builds[0][1]
+
+
 # ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
@@ -313,7 +387,6 @@ class TestCliSweep:
             "n_points": 4, "n_groups": 2, "group_sizes": [2, 2],
             "shared_trace_gens_saved": 2,
         }
-        assert data["sweep_planned"] is True
         assert len(data["points"]) == 4
         assert data["points"][0]["spec"]["checkpoint"] == 300.0
         assert data["points"][0]["result"]["format"] == "repro.result/1"
@@ -322,19 +395,22 @@ class TestCliSweep:
 
     def test_no_sweep_plan_escape_hatch_is_identical(self, capsys,
                                                      tmp_path, monkeypatch):
+        """``repro sweep`` against its independent reference: one
+        ``repro run`` per grid point."""
+        from repro.cli import main
+
         monkeypatch.chdir(tmp_path)
-        grid = ["--grid", "checkpoint=5m,10m"]
-        _, planned = self._run(capsys, grid)
-        rc, unplanned = self._run(capsys, [*grid, "--no-sweep-plan"])
-        assert rc == 0
-        assert unplanned["data"]["sweep_planned"] is False
-        assert unplanned["data"]["group_stats"] == []
-        keep = lambda env: [  # noqa: E731
-            json.dumps(comparable_result_payload(p["result"]),
-                       sort_keys=True)
-            for p in env["data"]["points"]
-        ]
-        assert keep(planned) == keep(unplanned)
+        _, planned = self._run(capsys, ["--grid", "checkpoint=5m,10m"])
+        independent = []
+        for checkpoint in ("5m", "10m"):
+            argv = ["run", *self._ARGS[1:], "--checkpoint", checkpoint]
+            assert main(argv) == 0
+            independent.append(json.loads(capsys.readouterr().out))
+        canon = lambda result: json.dumps(  # noqa: E731
+            comparable_result_payload(result), sort_keys=True
+        )
+        assert [canon(p["result"]) for p in planned["data"]["points"]] == \
+            [canon(env["data"]["result"]) for env in independent]
 
     def test_bad_grid_key_is_spec_error(self, capsys, tmp_path,
                                         monkeypatch):
